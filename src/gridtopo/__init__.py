@@ -53,7 +53,6 @@ from .synth_lab import (
     panel_from_csv,
     panel_to_csv,
     to_magnitude,
-    voltage_covariance,
 )
 from .info_core import (
     InfoCoreError,

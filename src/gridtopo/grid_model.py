@@ -306,12 +306,6 @@ class GridTopology:
             d += 1
         return d
 
-    def siblings_of(self, bus_id):
-        p = self.parent_of(bus_id)
-        if p is None:
-            return []
-        return [c for c in self.children_of(p) if c != bus_id]
-
     def descendants_of(self, bus_id):
         out = []
         frontier = list(self.children_of(bus_id))

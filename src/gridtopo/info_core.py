@@ -266,6 +266,7 @@ class PanelStatistics:
             self.cov = self.cov + ridge * np.eye(self.dim, dtype=self.cov.dtype)
         self.bus_ids = bus_ids
         self._marginal = {}
+        self._mi = None
 
     def require_samples(self, dims):
         if self.n_samples < dims + 1:
@@ -302,7 +303,16 @@ class PanelStatistics:
         return self.group_mi([bus_i], [bus_k])
 
     def mi_matrix(self):
-        """All-pairs matrix over the panel's non-slack buses."""
+        """All-pairs matrix over the panel's non-slack buses.
+
+        Computed once per instance; every call returns the same MIMatrix,
+        which callers treat as read-only.
+        """
+        if self._mi is None:
+            self._mi = self._all_pairs_mi()
+        return self._mi
+
+    def _all_pairs_mi(self):
         buses = [b for b in self.bus_ids if b != 0]
         M = len(buses)
         dmax = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -387,17 +388,6 @@ def analytic_cov(topology, spec):
     return FeederSampler(topology, spec).analytic()
 
 
-def voltage_covariance(Y, injection_cov):
-    """Propagate a complex injection covariance through Y dV = dI.
-
-    Returns Y^-1 S Y^-H for a full complex covariance matrix S over the
-    same coordinates as Y. Small utility kept separate so the algebra
-    is testable on hand-built systems.
-    """
-    Yinv = np.linalg.inv(np.asarray(Y, dtype=complex))
-    return Yinv @ np.asarray(injection_cov, dtype=complex) @ Yinv.conj().T
-
-
 def integrate_voltages(panel, v0=None):
     """Cumulative-sum increments into a voltage panel.
 
@@ -526,6 +516,18 @@ def corrupt_labels(panel, fraction, seed=0, protect=()):
 
 MEASUREMENT_COLUMNS = ["t", "bus_id", "phase", "magnitude_pu", "angle_deg"]
 
+# Data-row layouts for the whole-column parse: angles present, then
+# every angle empty. A phase field is read two characters wide so that
+# anything longer than one character shows up as a non-zero second code
+# unit instead of being truncated silently.
+_ROW_FIELDS = [("t", np.int64), ("bus_id", np.int64), ("phase", "U2"), ("magnitude", np.float64)]
+_ROW_DTYPES = (np.dtype(_ROW_FIELDS + [("angle", np.float64)]),
+               np.dtype(_ROW_FIELDS + [("angle", "U1")]))
+# Slot of each one-character phase code, -1 for every other character.
+_PHASE_SLOT = np.full(128, -1, dtype=np.int64)
+_PHASE_SLOT[[ord(p) for p in PHASES]] = range(len(PHASES))
+_PHASE_SLOT[[ord(p.upper()) for p in PHASES]] = range(len(PHASES))
+
 
 class MeasurementFormatError(SynthError):
     """Malformed measurement CSV. Carries the 1-based line number."""
@@ -537,22 +539,42 @@ class MeasurementFormatError(SynthError):
         super().__init__(message)
 
 
+def _is_path(path_or_buf):
+    return isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
+
+
+def _read_text(path_or_buf):
+    if _is_path(path_or_buf):
+        with open(path_or_buf, newline="") as fh:
+            return fh.read()
+    if isinstance(path_or_buf, io.TextIOBase):
+        return path_or_buf.read()
+    return str(path_or_buf)
+
+
 def panel_to_csv(panel, path_or_buf):
-    """Long-format export: one row per (t, bus, phase) present sample."""
+    """Long-format export: one row per (t, bus, phase) present sample.
+
+    Rows run bus by bus, claimed slot by slot, then in time order. Lines
+    end in CRLF and numbers are written with repr, the shortest string
+    that reads back to the same float; magnitude-only panels leave the
+    angle field empty.
+    """
+    mags = np.abs(panel.values)
+    angs = None if panel.magnitude_only else np.degrees(np.angle(panel.values))
+    stamps = [f"{t}," for t in range(panel.n_samples)]
 
     def write(fh):
-        w = csv.writer(fh)
-        w.writerow(MEASUREMENT_COLUMNS)
-        mags = np.abs(panel.values)
-        angs = np.degrees(np.angle(panel.values))
+        fh.write(",".join(MEASUREMENT_COLUMNS) + "\r\n")
         for b in range(panel.n_buses):
-            slots = np.flatnonzero(panel.masks[b])
-            for s in slots:
-                for t in range(panel.n_samples):
-                    ang = "" if panel.magnitude_only else repr(float(angs[t, b, s]))
-                    w.writerow([t, b, PHASES[s], repr(float(mags[t, b, s])), ang])
+            for s in np.flatnonzero(panel.masks[b]):
+                key = f"{b},{PHASES[s]},"
+                m = map(repr, mags[:, b, s].tolist())
+                a = itertools.repeat("") if angs is None else map(repr, angs[:, b, s].tolist())
+                fh.write("".join([f"{ts}{key}{mm},{aa}\r\n"
+                                  for ts, mm, aa in zip(stamps, m, a)]))
 
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+    if _is_path(path_or_buf):
         with open(path_or_buf, "w", newline="") as fh:
             write(fh)
     else:
@@ -562,90 +584,156 @@ def panel_to_csv(panel, path_or_buf):
 def panel_from_csv(path_or_buf, kind="voltage", sample_period_s=3600.0):
     """Read a long-format measurement CSV back into a panel.
 
-    The panel is magnitude-only when every angle field is empty; mixed
-    presence is rejected. Labels are the identity: files carry claimed
-    phases, ground truth travels in the separate label sidecar.
+    Rows may come in any order; every (bus, claimed phase) channel must
+    carry each time step exactly once. The panel is magnitude-only when
+    every angle field is empty; mixed presence is rejected. Labels are
+    the identity: files carry claimed phases, ground truth travels in
+    the separate label sidecar.
     """
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, newline="") as fh:
-            text = fh.read()
-    elif isinstance(path_or_buf, io.TextIOBase):
-        text = path_or_buf.read()
-    else:
-        text = str(path_or_buf)
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise MeasurementFormatError("empty measurement file", 1)
-    header = [h.strip() for h in rows[0]]
-    if header != MEASUREMENT_COLUMNS:
-        raise MeasurementFormatError(
-            f"header must be {','.join(MEASUREMENT_COLUMNS)}", 1
-        )
-    records = {}
-    have_angle = set()
-    t_max = -1
-    b_max = -1
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 5:
-            raise MeasurementFormatError(f"expected 5 fields, got {len(row)}", line_no)
-        try:
-            t = int(row[0])
-            b = int(row[1])
-        except ValueError:
-            raise MeasurementFormatError("t and bus_id must be integers", line_no)
-        if t < 0 or b < 0:
-            raise MeasurementFormatError("t and bus_id must be non-negative", line_no)
-        phase = row[2].strip().lower()
-        if phase not in PHASES:
-            raise MeasurementFormatError(f"bad phase {row[2]!r}", line_no)
-        try:
-            mag = float(row[3])
-        except ValueError:
-            raise MeasurementFormatError(f"cannot parse magnitude {row[3]!r}", line_no)
-        ang_text = row[4].strip()
-        if ang_text:
-            try:
-                ang = math.radians(float(ang_text))
-            except ValueError:
-                raise MeasurementFormatError(f"cannot parse angle {row[4]!r}", line_no)
-            have_angle.add(True)
-            val = mag * complex(math.cos(ang), math.sin(ang))
-        else:
-            have_angle.add(False)
-            val = complex(mag, 0.0)
-        key = (t, b, phase)
-        if key in records:
-            raise MeasurementFormatError(f"duplicate sample for {key}", line_no)
-        records[key] = val
-        t_max = max(t_max, t)
-        b_max = max(b_max, b)
-    if len(have_angle) > 1:
-        raise MeasurementFormatError("mixed empty and present angle fields")
-    magnitude_only = have_angle == {False}
-    T, B = t_max + 1, b_max + 1
+    text = _read_text(path_or_buf)
+    cols = _measurement_columns(text)
+    if cols is None:
+        cols = _checked_measurement_rows(text)
+    t, b, slot, mag, ang = cols
+    T = int(t.max()) + 1 if t.size else 0
+    B = int(b.max()) + 1 if b.size else 0
     values = np.zeros((T, B, 3), dtype=complex)
-    masks = np.zeros((B, 3), dtype=bool)
-    for (t, b, phase) in records:
-        masks[b, _phase_slot(phase)] = True
-    for b in range(B):
-        for s in np.flatnonzero(masks[b]):
-            for t in range(T):
-                key = (t, b, PHASES[s])
-                if key not in records:
-                    raise MeasurementFormatError(
-                        f"missing sample t={t} bus={b} phase={PHASES[s]}"
-                    )
-                values[t, b, s] = records[key]
+    flat = (t * B + b) * 3 + slot
+    counts = np.bincount(flat, minlength=values.size).reshape(T, B, 3)
+    if counts.max(initial=0) > 1:
+        _checked_measurement_rows(text)  # names the line of the first duplicate
+        raise MeasurementFormatError("duplicate sample")
+    masks = counts.any(axis=0)
+    gaps = np.argwhere(((counts == 0) & masks).transpose(1, 2, 0))
+    if gaps.size:
+        gb, gs, gt = gaps[0]
+        raise MeasurementFormatError(f"missing sample t={gt} bus={gb} phase={PHASES[gs]}")
+    cells = values.reshape(-1)
+    if ang is None:
+        cells.real[flat] = mag
+    else:
+        # Python's mag * complex(cos, sin), term for term, so that every
+        # bit (signed zeros included) matches a record-by-record reading
+        rad = np.radians(ang)
+        cos, sin = np.cos(rad), np.sin(rad)
+        cells.real[flat] = mag * cos - 0.0 * sin
+        cells.imag[flat] = mag * sin + 0.0 * cos
     return VoltagePanel(
         values=values, masks=masks, labels=identity_labels(masks), kind=kind,
-        magnitude_only=magnitude_only, sample_period_s=sample_period_s,
+        magnitude_only=ang is None and t.size > 0, sample_period_s=sample_period_s,
     )
 
 
+def _measurement_columns(text):
+    """Whole-column parse of a plain measurement file, or None.
+
+    Returns (t, bus_id, slot, magnitude, angle_deg) arrays, angle None
+    for a magnitude-only file, when numpy's C parser reads every data
+    row and the columns pass the row checks. Anything else (blank or
+    whitespace-only rows, padded phases, mixed angles, any bad field)
+    returns None and is left to _checked_measurement_rows, which applies
+    the csv.reader rules row by row.
+    """
+    head, _, body = text.partition("\n")
+    if ('"' in head or [h.strip() for h in head.split(",")] != MEASUREMENT_COLUMNS
+            or not body or body.isspace() or "\x00" in body):
+        return None
+    for dtype in _ROW_DTYPES:
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+            break
+        except ValueError:
+            continue
+    else:
+        return None
+    codes = np.ascontiguousarray(rows["phase"]).view(np.uint32).reshape(-1, 2)
+    if codes[:, 1].any():
+        return None
+    slot = _PHASE_SLOT[np.minimum(codes[:, 0], 127)]
+    t, b = rows["t"], rows["bus_id"]
+    if (slot < 0).any() or t.min() < 0 or b.min() < 0:
+        return None
+    if rows.dtype["angle"] == np.float64:
+        if np.isinf(rows["angle"]).any():
+            return None
+        return t, b, slot, rows["magnitude"], rows["angle"]
+    if (rows["angle"] != "").any():
+        return None
+    return t, b, slot, rows["magnitude"], None
+
+
+def _checked_measurement_rows(text):
+    """Row-by-row reading of a measurement file with csv.reader rules.
+
+    Raises MeasurementFormatError naming the first bad line; otherwise
+    returns the same columns as _measurement_columns.
+    """
+    reader = csv.reader(io.StringIO(text))
+    ts, bs, slots, mags, angs = [], [], [], [], []
+    seen = set()
+    first_present = None
+    mixed_line = None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MeasurementFormatError("empty measurement file", 1)
+        if [h.strip() for h in header] != MEASUREMENT_COLUMNS:
+            raise MeasurementFormatError(
+                f"header must be {','.join(MEASUREMENT_COLUMNS)}", 1
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 5:
+                raise MeasurementFormatError(f"expected 5 fields, got {len(row)}", line_no)
+            try:
+                t = int(row[0])
+                b = int(row[1])
+            except ValueError:
+                raise MeasurementFormatError("t and bus_id must be integers", line_no)
+            if t < 0 or b < 0:
+                raise MeasurementFormatError("t and bus_id must be non-negative", line_no)
+            phase = row[2].strip().lower()
+            if phase not in PHASES:
+                raise MeasurementFormatError(f"bad phase {row[2]!r}", line_no)
+            try:
+                mag = float(row[3])
+            except ValueError:
+                raise MeasurementFormatError(f"cannot parse magnitude {row[3]!r}", line_no)
+            ang_text = row[4].strip()
+            present = bool(ang_text)
+            if present:
+                try:
+                    ang = float(ang_text)
+                except ValueError:
+                    raise MeasurementFormatError(f"cannot parse angle {row[4]!r}", line_no)
+                if math.isinf(ang):
+                    raise MeasurementFormatError(f"infinite angle {row[4]!r}", line_no)
+                angs.append(ang)
+            if first_present is None:
+                first_present = present
+            elif present != first_present and mixed_line is None:
+                mixed_line = line_no
+            key = (t, b, phase)
+            if key in seen:
+                raise MeasurementFormatError(f"duplicate sample for {key}", line_no)
+            seen.add(key)
+            ts.append(t)
+            bs.append(b)
+            slots.append(_phase_slot(phase))
+            mags.append(mag)
+    except csv.Error as exc:
+        raise MeasurementFormatError(f"unreadable CSV: {exc}", reader.line_num)
+    if mixed_line is not None:
+        raise MeasurementFormatError("mixed empty and present angle fields", mixed_line)
+    return (np.array(ts, dtype=np.int64), np.array(bs, dtype=np.int64),
+            np.array(slots, dtype=np.int64), np.array(mags, dtype=float),
+            np.array(angs, dtype=float) if first_present else None)
+
+
 def _phase_slot(phase):
-    return {"a": 0, "b": 1, "c": 2}[phase]
+    return PHASES.index(phase)
 
 
 def labels_to_csv(panel, path_or_buf):
@@ -659,7 +747,7 @@ def labels_to_csv(panel, path_or_buf):
             order = "".join(PHASES[int(panel.labels[b, s])] for s in slots)
             w.writerow([b, order])
 
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+    if _is_path(path_or_buf):
         with open(path_or_buf, "w", newline="") as fh:
             write(fh)
     else:
@@ -668,13 +756,7 @@ def labels_to_csv(panel, path_or_buf):
 
 def labels_from_csv(path_or_buf):
     """Read the sidecar into {bus_id: true phase string}."""
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, newline="") as fh:
-            text = fh.read()
-    elif isinstance(path_or_buf, io.TextIOBase):
-        text = path_or_buf.read()
-    else:
-        text = str(path_or_buf)
+    text = _read_text(path_or_buf)
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or [h.strip() for h in rows[0]] != ["bus_id", "true_phase_order"]:
         raise MeasurementFormatError("label file header must be bus_id,true_phase_order", 1)

@@ -221,24 +221,32 @@ def estimate_from_csv(path):
     blank in estimate files. A row with parent 0 becomes the root edge.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise TopologyEstimateError(f"{path}: no edges")
     for need in ("parent_id", "child_id"):
-        if need not in rows[0]:
+        if need not in rows[0][1]:
             raise TopologyEstimateError(f"{path}: missing column {need}")
     edges = []
     chords = []
     weights = {}
     root_edge = None
     buses = set()
-    for row in rows:
-        a = int(row["parent_id"])
-        b = int(row["child_id"])
+    for line_no, row in rows:
+        try:
+            a = int(row["parent_id"])
+            b = int(row["child_id"])
+        except (TypeError, ValueError):
+            raise TopologyEstimateError(
+                f"{path}: line {line_no}: parent_id and child_id must be integers")
         pair = tuple(sorted((a, b)))
         w = row.get("mi_nats", "")
         if w not in (None, ""):
-            weights[pair] = float(w)
+            try:
+                weights[pair] = float(w)
+            except ValueError:
+                raise TopologyEstimateError(f"{path}: line {line_no}: cannot parse mi_nats {w!r}")
         if 0 in pair:
             root_edge = pair
             buses.add(max(pair))

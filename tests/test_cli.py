@@ -203,3 +203,33 @@ def test_sweep_rejects_garbled_values(tmp_path, capsys):
                "--values", "a,b", "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("1,2,0.5\nx,2,abc\n", 3),
+    ("1,2,abc\n", 2),
+    ("1,2,0.5\n\n2,,0.1\n", 4),
+])
+def test_identify_phases_bad_topology_row_names_line(tmp_path, capsys, rows, line):
+    prefix = _simulate(tmp_path, samples=50)
+    topo = tmp_path / "bad_topology.csv"
+    topo.write_text("parent_id,child_id,mi_nats\n" + rows)
+    rc = main(["identify-phases", "--measurements", prefix + ".measurements.csv",
+               "--topology", str(topo), "--root", "1", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line {line}:" in err
+
+
+def test_estimate_mixed_angles_names_line(tmp_path, capsys):
+    prefix = _simulate(tmp_path, samples=50)
+    path = prefix + ".measurements.csv"
+    with open(path, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    lines[7] = lines[7].rsplit(",", 1)[0] + ","
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
+    rc = main(["estimate", "--measurements", path, "--root", "1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "line 8: mixed empty and present angle fields" in capsys.readouterr().err

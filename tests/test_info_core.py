@@ -158,6 +158,14 @@ def test_mi_matrix_shape_and_symmetry(bus8, bus8_spec):
     assert all(v > 0 for _, _, v in est.pairs())
 
 
+def test_panel_statistics_computes_mi_matrix_once(bus8, bus8_spec):
+    panel = _inc(bus8, bus8_spec, 300, 2)
+    stats = PanelStatistics(panel, frame="sequence")
+    first = stats.mi_matrix()
+    assert stats.mi_matrix() is first
+    assert np.array_equal(first.values, mi_matrix(panel, frame="sequence").values)
+
+
 def test_mi_matrix_all_frame_source_combinations(bus8, bus8_spec):
     panel = _inc(bus8, bus8_spec, 400, 1)
     for frame in ("phase", "sequence"):

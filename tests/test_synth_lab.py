@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -12,6 +13,7 @@ from gridtopo.synth_lab import (
     MeasurementFormatError,
     NoiseSpec,
     SynthError,
+    VoltagePanel,
     analytic_cov,
     apply_noise,
     attach_labels,
@@ -358,3 +360,186 @@ def test_panel_csv_rejects_mixed_angles(bus8, bus8_spec):
 def test_label_sidecar_rejects_bad_phase():
     with pytest.raises(MeasurementFormatError):
         labels_from_csv(io.StringIO("bus_id,true_phase_order\n1,axb\n"))
+
+
+# -- CSV interchange: byte layout, parity with the row-by-row reader -------
+
+_HEADER = "t,bus_id,phase,magnitude_pu,angle_deg"
+
+
+def _reference_panel_from_csv(text):
+    """The row-by-row reader the columnar one replaced: (values, masks, magnitude_only)."""
+    rows = list(csv.reader(io.StringIO(text)))
+    records = {}
+    have_angle = set()
+    for row in rows[1:]:
+        if not row or all(not c.strip() for c in row):
+            continue
+        t, b, phase = int(row[0]), int(row[1]), row[2].strip().lower()
+        mag = float(row[3])
+        if row[4].strip():
+            ang = math.radians(float(row[4].strip()))
+            records[(t, b, phase)] = mag * complex(math.cos(ang), math.sin(ang))
+            have_angle.add(True)
+        else:
+            records[(t, b, phase)] = complex(mag, 0.0)
+            have_angle.add(False)
+    T = max(k[0] for k in records) + 1
+    B = max(k[1] for k in records) + 1
+    values = np.zeros((T, B, 3), dtype=complex)
+    masks = np.zeros((B, 3), dtype=bool)
+    for (t, b, phase), v in records.items():
+        values[t, b, "abc".index(phase)] = v
+        masks[b, "abc".index(phase)] = True
+    return values, masks, have_angle == {False}
+
+
+def _reference_panel_to_csv(panel):
+    """The csv.writer export the columnar writer replaced."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(_HEADER.split(","))
+    mags = np.abs(panel.values)
+    angs = np.degrees(np.angle(panel.values))
+    for b in range(panel.n_buses):
+        for s in np.flatnonzero(panel.masks[b]):
+            for t in range(panel.n_samples):
+                ang = "" if panel.magnitude_only else repr(float(angs[t, b, s]))
+                w.writerow([t, b, "abc"[s], repr(float(mags[t, b, s])), ang])
+    return buf.getvalue()
+
+
+def _assert_same_as_reference(text):
+    panel = panel_from_csv(io.StringIO(text))
+    values, masks, magnitude_only = _reference_panel_from_csv(text)
+    assert panel.values.tobytes() == values.tobytes()
+    assert np.array_equal(panel.masks, masks)
+    assert panel.magnitude_only == magnitude_only
+    return panel
+
+
+def _tiny_panel():
+    masks = np.array([[True, False, False], [False, True, True]])
+    values = np.zeros((2, 2, 3), dtype=complex)
+    values[:, 0, 0] = [1.0, -2.0]
+    values[:, 1, 1] = [0.5j, -0.25j]
+    values[:, 1, 2] = [1e-05, 0.1]
+    return VoltagePanel(values=values, masks=masks, labels=identity_labels(masks))
+
+
+def test_panel_to_csv_golden_bytes():
+    buf = io.StringIO()
+    panel_to_csv(_tiny_panel(), buf)
+    assert buf.getvalue() == (
+        "t,bus_id,phase,magnitude_pu,angle_deg\r\n"
+        "0,0,a,1.0,0.0\r\n1,0,a,2.0,180.0\r\n"
+        "0,1,b,0.5,90.0\r\n1,1,b,0.25,-90.0\r\n"
+        "0,1,c,1e-05,0.0\r\n1,1,c,0.1,0.0\r\n"
+    )
+    buf = io.StringIO()
+    panel_to_csv(to_magnitude(_tiny_panel()), buf)
+    assert buf.getvalue() == (
+        "t,bus_id,phase,magnitude_pu,angle_deg\r\n"
+        "0,0,a,1.0,\r\n1,0,a,2.0,\r\n"
+        "0,1,b,0.5,\r\n1,1,b,0.25,\r\n"
+        "0,1,c,1e-05,\r\n1,1,c,0.1,\r\n"
+    )
+
+
+@pytest.mark.parametrize("magnitude_only", [False, True])
+def test_cli_written_file_matches_reference_reader_and_writer(tmp_path, magnitude_only):
+    from gridtopo.cli import main
+
+    prefix = str(tmp_path / "sim")
+    extra = ["--magnitude-only"] if magnitude_only else []
+    assert main(["simulate", "--feeder", "bus13", "--samples", "40", "--seed", "3",
+                 "--label-corruption", "0.2", "--out", prefix, *extra]) == 0
+    path = prefix + ".measurements.csv"
+    with open(path, newline="") as fh:
+        text = fh.read()
+    panel = _assert_same_as_reference(text)
+    assert panel_from_csv(path).values.tobytes() == panel.values.tobytes()
+    buf = io.StringIO()
+    panel_to_csv(panel, buf)
+    assert buf.getvalue() == _reference_panel_to_csv(panel)
+    if magnitude_only:
+        # |m + 0j| is m, so a magnitude file survives a read and write untouched
+        assert buf.getvalue() == text
+
+
+def test_panel_csv_writes_simulated_panel_like_reference(bus8, bus8_spec):
+    volts = corrupt_labels(_volt_panel(bus8, bus8_spec, 30, 2), 0.4, seed=1)
+    buf = io.StringIO()
+    panel_to_csv(volts, buf)
+    assert buf.getvalue() == _reference_panel_to_csv(volts)
+
+
+_GOOD_ROWS = "0,1,a,1.0,0.0\n1,1,a,1.0,0.0\n0,2,b,1.0,0.0\n1,2,b,1.0,0.0\n"
+
+
+@pytest.mark.parametrize("skipped", ["", "\n", "\n   \n", ",,,,\n\t\n"])
+@pytest.mark.parametrize("bad_row, message", [
+    ("0,2,b,1.0", "expected 5 fields, got 4"),
+    ("0,2,b,1.0,0.0,7", "expected 5 fields, got 6"),
+    ("x,2,b,1.0,0.0", "must be integers"),
+    ("0,1.5,b,1.0,0.0", "must be integers"),
+    ("-1,2,b,1.0,0.0", "non-negative"),
+    ("0,-2,b,1.0,0.0", "non-negative"),
+    ("0,2,d,1.0,0.0", "bad phase"),
+    ("0,2,ab,1.0,0.0", "bad phase"),
+    ("0,2,c,abc,0.0", "cannot parse magnitude"),
+    ("0,2,c,1.0,xyz", "cannot parse angle"),
+    ("0,2,c,1.0,inf", "infinite angle"),
+    ("1,1,a,1.0,0.0", "duplicate sample for (1, 1, 'a')"),
+    ("0,2,c,1.0,", "mixed empty and present angle fields"),
+])
+def test_panel_csv_errors_name_the_line(skipped, bad_row, message):
+    lines = _GOOD_ROWS.splitlines(keepends=True)
+    text = _HEADER + "\n" + lines[0] + lines[1] + skipped + bad_row + "\n" + "".join(lines[2:])
+    bad_line = 4 + skipped.count("\n")
+    with pytest.raises(MeasurementFormatError) as info:
+        panel_from_csv(io.StringIO(text))
+    assert info.value.line_no == bad_line
+    assert str(info.value).startswith(f"line {bad_line}: ")
+    assert message in str(info.value)
+
+
+def test_panel_csv_missing_sample_has_no_line():
+    text = _HEADER + "\n" + _GOOD_ROWS.replace("1,2,b,1.0,0.0\n", "")
+    with pytest.raises(MeasurementFormatError) as info:
+        panel_from_csv(io.StringIO(text))
+    assert info.value.line_no is None
+    assert str(info.value) == "missing sample t=1 bus=2 phase=b"
+
+
+@pytest.mark.parametrize("body", [
+    _GOOD_ROWS,
+    _GOOD_ROWS.replace(",a,", ", A ,").replace(",b,", ",B,"),
+    _GOOD_ROWS.replace("1,1,a", "+1,01,a").replace("0,2,b", " 0 , 2 ,b"),
+    _GOOD_ROWS.replace("1.0,0.0", '"1.0","0.0"').replace("0,1,a", '"0","1","a"'),
+    _GOOD_ROWS.replace(",2,b,", ",0_2,b,"),
+    _GOOD_ROWS.replace("\n", "\r\n") + "\r\n   \r\n",
+    "".join(reversed(_GOOD_ROWS.splitlines(keepends=True))),
+    _GOOD_ROWS.replace("1.0,0.0", "+1.5e-3, -12.25 "),
+    _GOOD_ROWS.replace("1.0,0.0", "1.0,"),
+    _GOOD_ROWS.replace("1.0,0.0", "nan,nan"),
+])
+def test_panel_csv_accepts_what_csv_reader_accepts(body):
+    _assert_same_as_reference(_HEADER + "\n" + body)
+
+
+def test_plain_files_take_the_columnar_parse():
+    from gridtopo.synth_lab import _measurement_columns
+
+    for mag_only in (False, True):
+        buf = io.StringIO()
+        panel_to_csv(to_magnitude(_tiny_panel()) if mag_only else _tiny_panel(), buf)
+        cols = _measurement_columns(buf.getvalue())
+        assert cols is not None
+        assert (cols[4] is None) == mag_only
+
+
+def test_panel_csv_empty_data_gives_empty_panel():
+    panel = panel_from_csv(io.StringIO(_HEADER + "\r\n\r\n"))
+    assert panel.values.shape == (0, 0, 3)
+    assert not panel.magnitude_only
