@@ -15,12 +15,21 @@ of real data, so their real stacking is rank deficient by construction
 and the Hermitian covariance determinant is used instead; the resulting
 score equals the phase-frame magnitude value because the transform
 determinants cancel. All values are in nats.
+
+A panel's statistics come from one (T, D) block of channels, gathered
+in a single take through the flattened mask (complex channels through
+their float64 (Re, Im) view), centred once and multiplied once into a
+D×D covariance. The frame and the (Re, Im) feature layout are linear maps
+of each bus's channels, so they are applied to that covariance, one
+bus block at a time (C <- B C Bᴴ with B block-diagonal), and the
+standardisation is a diagonal rescale of the result. No step after the
+gather touches the T×D data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import csv
 import io
@@ -78,10 +87,9 @@ def difference(panel):
         raise InfoCoreError("difference expects a voltage panel")
     if panel.n_samples < 2:
         raise InfoCoreError("need at least two samples to difference")
-    out = panel.copy()
-    out.values = np.diff(panel.values, axis=0)
-    out.kind = "increment"
-    return out
+    return replace(panel, values=np.diff(panel.values, axis=0),
+                   masks=panel.masks.copy(), labels=panel.labels.copy(),
+                   kind="increment")
 
 
 def to_sequence(values):
@@ -195,23 +203,82 @@ def mutual_information(samples_i, samples_k):
 # ---------------------------------------------------------------------
 
 
-def _bus_features(panel, bus_id, frame, source):
-    """Feature matrix for one bus; (array, hermitian_flag)."""
-    x = panel.channels(bus_id)
-    slots = panel.slots(bus_id)
-    p = len(slots)
-    if source == "magnitude":
-        m = x.real if panel.magnitude_only else np.abs(x)
-        if frame == "phase":
-            return m, False
-        A = SEQ_H_INV[:p][:, slots]
-        return m @ A.T, True
-    if panel.magnitude_only:
+def _sequence_rows(slots):
+    """Rows of SEQ_H_INV kept for a bus with the given claimed slots."""
+    return SEQ_H_INV[:len(slots)][:, list(slots)]
+
+
+def _real_stack(A):
+    """Real form of y = A x on (Re, Im)-stacked coordinates."""
+    return np.block([[A.real, -A.imag], [A.imag, A.real]])
+
+
+def _congruence(C, blocks):
+    """C <- B C Bᴴ in place for a block-diagonal B.
+
+    blocks holds (positions, block) pairs: positions is an (m, w) index
+    array naming m diagonal blocks of width w that share the (w, w)
+    block. Each group is applied to its block rows, then to its block
+    columns, so the cost is O(D² w) where a dense D×D product would
+    cost O(D³).
+    """
+    for pos, B in blocks:
+        w = B.shape[0]
+        rows = pos.T.ravel()
+        C[rows, :] = (B @ C[rows, :].reshape(w, -1)).reshape(rows.size, -1)
+    for pos, B in blocks:
+        w = B.shape[0]
+        cols = pos.ravel()
+        C[:, cols] = (C[:, cols].reshape(-1, w) @ B.conj().T).reshape(-1, cols.size)
+    return C
+
+
+def _feature_cov(panel, bus_ids, frame, source):
+    """Sample covariance of the features of bus_ids.
+
+    Returns (cov, slices). cov is real, or complex Hermitian for
+    magnitudes in the sequence frame; slices maps each bus to its
+    feature positions, buses in the given order.
+    """
+    if source == "complex" and panel.magnitude_only:
         raise InfoCoreError("complex source unavailable from a magnitude-only panel")
-    if frame == "sequence":
-        A = SEQ_H_INV[:p][:, slots]
-        x = x @ A.T
-    return _stack_complex(x), False
+    masks = np.zeros_like(panel.masks)
+    masks[bus_ids] = panel.masks[bus_ids]
+    n = panel.n_samples
+    rows = np.ascontiguousarray(panel.values).reshape(n, -1)
+    parts = rows.view(np.float64)
+    if source == "complex":
+        # column of (bus, part, slot) in the (Re, Im) view, taken bus by
+        # bus: the Re parts of the claimed slots, then the Im parts
+        grid = np.arange(parts.shape[1]).reshape(-1, 3, 2).transpose(0, 2, 1)
+        X = np.take(parts, grid[np.broadcast_to(masks[:, None, :], grid.shape)], axis=1)
+    elif panel.magnitude_only:
+        X = np.take(parts, 2 * np.flatnonzero(masks), axis=1)
+    else:
+        X = np.abs(np.take(rows, np.flatnonzero(masks), axis=1))
+    X -= X.mean(axis=0)
+    cov = X.T @ X / (n - 1)
+    width = 2 if source == "complex" else 1
+    present = masks[bus_ids]
+    widths = width * present.sum(axis=1)
+    starts = np.cumsum(widths) - widths
+    slices = {b: list(range(lo, lo + w))
+              for b, lo, w in zip(bus_ids, starts.tolist(), widths.tolist())}
+    if frame == "phase":
+        return cov, slices
+    # Per bus, y = A c with A its sequence rows: complex channels map
+    # (Re c, Im c) to (Re y, Im y); magnitudes m map to the complex
+    # y = A m, whose Hermitian covariance is conj(A) C Aᵀ.
+    if source == "magnitude":
+        cov = cov.astype(complex)
+    pattern = present @ np.array([1, 2, 4])
+    blocks = []
+    for code in np.unique(pattern):
+        members = np.flatnonzero(pattern == code)
+        A = _sequence_rows(np.flatnonzero(present[members[0]]))
+        B = A.conj() if source == "magnitude" else _real_stack(A)
+        blocks.append((starts[members][:, None] + np.arange(len(B)), B))
+    return _congruence(cov, blocks), slices
 
 
 def _validate_frame_source(frame, source):
@@ -224,46 +291,45 @@ def _validate_frame_source(frame, source):
 class PanelStatistics:
     """One standardized covariance over all bus features of a panel.
 
+    The covariance comes from a single gather of every claimed channel
+    into a (T, D) block and a single product of the centred block with
+    itself; the frame and (Re, Im) layout are then applied block-wise
+    to the D×D matrix and the features are standardized by a diagonal
+    rescale (population variances, so the diagonal reads n/(n-1)).
     Every mutual-information query then reduces to gathering a
     submatrix and taking its log-determinant, which keeps the all-pairs
-    matrix cheap: the covariance is a single rank-N update and the
-    determinants are batched per joint dimension.
+    matrix cheap: the determinants are batched per joint dimension.
+
+    ridge >= 0 is added to the standardized diagonal; it is a
+    last-resort retry for singular sample covariances.
     """
 
     def __init__(self, panel, frame="phase", source="complex",
                  include_slack=False, ridge=0.0):
         _validate_frame_source(frame, source)
+        if not (math.isfinite(ridge) and ridge >= 0.0):
+            raise InfoCoreError(f"ridge must be a finite non-negative number, got {ridge!r}")
         if panel.kind != "increment":
             raise InfoCoreError("statistics expect an increment panel; difference first")
         self.frame = frame
         self.source = source
         self.panel = panel
+        self.hermitian = frame == "sequence" and source == "magnitude"
         bus_ids = list(range(0 if include_slack else 1, panel.n_buses))
-        feats = []
-        self.slices = {}
-        hermitian = None
-        start = 0
-        for b in bus_ids:
-            f, herm = _bus_features(panel, b, frame, source)
-            hermitian = herm if hermitian is None else hermitian
-            feats.append(f)
-            self.slices[b] = list(range(start, start + f.shape[1]))
-            start += f.shape[1]
-        self.hermitian = bool(hermitian)
-        X = np.hstack(feats)
-        self.n_samples = X.shape[0]
-        self.dim = X.shape[1]
-        sd = np.sqrt(np.mean(np.abs(X - X.mean(axis=0)) ** 2, axis=0))
-        dead = np.flatnonzero(sd <= 0.0)
-        if dead.size:
-            owners = sorted({b for b in bus_ids if set(self.slices[b]) & set(dead.tolist())})
+        cov, self.slices = _feature_cov(panel, bus_ids, frame, source)
+        self.n_samples = n = panel.n_samples
+        self.dim = cov.shape[0]
+        sd = np.sqrt(cov.diagonal().real * ((n - 1) / n))
+        dead = set(np.flatnonzero(sd <= 0.0).tolist())
+        if dead:
+            owners = sorted(b for b in bus_ids if dead.intersection(self.slices[b]))
             raise SingularCovarianceError(
                 f"zero-variance channels at buses {owners}"
             )
-        X = (X - X.mean(axis=0)) / sd
-        self.cov = _sample_cov(X)
+        cov /= np.outer(sd, sd)
         if ridge > 0.0:
-            self.cov = self.cov + ridge * np.eye(self.dim, dtype=self.cov.dtype)
+            cov[np.diag_indices(self.dim)] += ridge
+        self.cov = cov
         self.bus_ids = bus_ids
         self._marginal = {}
         self._mi = None
@@ -398,15 +464,31 @@ class MIMatrix:
                 text = fh.read()
         else:
             text = path_or_buf.read()
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [h.strip() for h in rows[0]] != ["bus_i", "bus_j", "mi_nats"]:
+        reader = csv.reader(io.StringIO(text))
+        rows = [(reader.line_num, row) for row in reader]
+        if not rows or [h.strip() for h in rows[0][1]] != ["bus_i", "bus_j", "mi_nats"]:
             raise InfoCoreError("mutual information CSV header must be bus_i,bus_j,mi_nats")
         entries = {}
         buses = set()
-        for row in rows[1:]:
+        for line_no, row in rows[1:]:
             if not row or all(not c.strip() for c in row):
                 continue
-            i, k, v = int(row[0]), int(row[1]), float(row[2])
+            if len(row) < 3:
+                raise InfoCoreError(
+                    f"mutual information CSV line {line_no}: expected bus_i,bus_j,mi_nats")
+            try:
+                i, k = int(row[0]), int(row[1])
+            except ValueError:
+                raise InfoCoreError(
+                    f"mutual information CSV line {line_no}: bus_i and bus_j must be integers")
+            try:
+                v = float(row[2])
+            except ValueError:
+                v = math.nan
+            if not math.isfinite(v):
+                raise InfoCoreError(
+                    f"mutual information CSV line {line_no}: mi_nats must be a finite "
+                    f"number, got {row[2]!r}")
             entries[(i, k)] = v
             buses.update((i, k))
         bus_ids = tuple(sorted(buses))
@@ -444,12 +526,11 @@ def substation_mi(panel, frame="phase", source="complex", significance=1e-3):
     bus is indistinguishable from the chi-square independence null at
     the given significance level, Bonferroni-corrected over buses.
     """
-    feats, herm = _bus_features(panel, 0, frame, source)
-    sd = np.sqrt(np.mean(np.abs(feats - feats.mean(axis=0)) ** 2, axis=0))
-    if np.any(sd <= 1e-300):
+    _validate_frame_source(frame, source)
+    slack, _ = _feature_cov(panel, [0], frame, source)
+    if np.any(slack.diagonal().real <= 0.0):
         return None
-    corr = _corr_normalize(_sample_cov(feats))
-    eigs = np.linalg.eigvalsh(corr)
+    eigs = np.linalg.eigvalsh(_corr_normalize(slack))
     if eigs[0] <= _SUBSTATION_RANK_RTOL * eigs[-1]:
         return None
     stats = PanelStatistics(panel, frame=frame, source=source, include_slack=True)
@@ -462,7 +543,7 @@ def substation_mi(panel, frame="phase", source="complex", significance=1e-3):
         return None
     # each cross-covariance entry carries two real parameters on the
     # hermitian (complex) path, one on the stacked real path
-    per_entry = 2 if herm else 1
+    per_entry = 2 if stats.hermitian else 1
     d0 = len(stats.slices[0])
     alpha = significance / len(out)
     for b, v in out.items():
@@ -601,22 +682,16 @@ def sequence_real_cov(acov, panel_masks):
     helpers apply.
     """
     D = acov.dim
-    B = np.zeros((2 * D, 2 * D))
     by_bus = {}
     for j, (b, s) in enumerate(acov.coords):
         by_bus.setdefault(b, []).append((j, s))
-    for b, entries in by_bus.items():
+    groups = {}
+    for entries in by_bus.values():
         pos = [j for j, _ in entries]
-        slots = [s for _, s in entries]
-        p = len(slots)
-        A = SEQ_H_INV[:p][:, slots]
-        re_idx = np.asarray(pos)
-        im_idx = re_idx + D
-        B[np.ix_(re_idx, re_idx)] = A.real
-        B[np.ix_(re_idx, im_idx)] = -A.imag
-        B[np.ix_(im_idx, re_idx)] = A.imag
-        B[np.ix_(im_idx, im_idx)] = A.real
-    return B @ acov.real @ B.T
+        groups.setdefault(tuple(s for _, s in entries), []).append(pos + [j + D for j in pos])
+    blocks = [(np.asarray(pos, dtype=np.intp), _real_stack(_sequence_rows(slots)))
+              for slots, pos in groups.items()]
+    return _congruence(np.array(acov.real, dtype=float), blocks)
 
 
 def analytic_mi_matrix(acov, frame="phase"):

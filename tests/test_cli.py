@@ -104,6 +104,14 @@ def test_estimate_missing_file_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+def test_estimate_negative_ridge_exits_two(tmp_path, capsys):
+    prefix = _simulate(tmp_path, samples=100)
+    rc = main(["estimate", "--measurements", prefix + ".measurements.csv",
+               "--ridge", "-1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "ridge" in capsys.readouterr().err
+
+
 def test_magnitude_only_estimate_auto_source(tmp_path):
     prefix = _simulate(tmp_path, "--magnitude-only", samples=1500)
     out = str(tmp_path / "est.csv")

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from gridtopo.feeders import random_feeder
 from gridtopo.info_core import (
+    SEQ_H_INV,
     InfoCoreError,
     MIMatrix,
     PanelStatistics,
@@ -20,6 +22,7 @@ from gridtopo.info_core import (
     mi_from_cov,
     mi_matrix,
     mutual_information,
+    sequence_real_cov,
     substation_mi,
     to_sequence,
 )
@@ -215,6 +218,161 @@ def test_group_mi_merges_blocks(bus8, bus8_spec):
     assert both >= single - 1e-9
 
 
+# -- parity with the per-bus, data-side construction ---------------------
+#
+# PanelStatistics gathers all channels at once and maps the covariance
+# into the frame; the reference below builds each bus's features from
+# its own channels, standardizes the data and multiplies, which is the
+# construction the gathered form replaces. The two differ only in
+# rounding order.
+
+
+def _reference_features(panel, bus_id, frame, source):
+    x = panel.channels(bus_id)
+    slots = list(panel.slots(bus_id))
+    A = SEQ_H_INV[:len(slots)][:, slots]
+    if source == "magnitude":
+        m = x.real if panel.magnitude_only else np.abs(x)
+        return m if frame == "phase" else m @ A.T
+    if frame == "sequence":
+        x = x @ A.T
+    return np.hstack([x.real, x.imag])
+
+
+def _reference_statistics(panel, frame, source, include_slack=False):
+    """(standardized covariance, slices) built bus by bus from the data."""
+    buses = list(range(0 if include_slack else 1, panel.n_buses))
+    feats = [_reference_features(panel, b, frame, source) for b in buses]
+    slices, start = {}, 0
+    for b, f in zip(buses, feats):
+        slices[b] = list(range(start, start + f.shape[1]))
+        start += f.shape[1]
+    X = np.hstack(feats)
+    sd = np.sqrt(np.mean(np.abs(X - X.mean(axis=0)) ** 2, axis=0))
+    dead = set(np.flatnonzero(sd <= 0.0).tolist())
+    if dead:
+        owners = sorted(b for b in buses if dead & set(slices[b]))
+        raise SingularCovarianceError(f"zero-variance channels at buses {owners}")
+    X = (X - X.mean(axis=0)) / sd
+    X = X - X.mean(axis=0)
+    return X.conj().T @ X / (X.shape[0] - 1), slices
+
+
+def _reference_mi(cov, slices):
+    buses = [b for b in sorted(slices) if b != 0]
+
+    def ld(idx):
+        return np.linalg.slogdet(cov[np.ix_(idx, idx)])[1].real
+
+    out = np.zeros((len(buses), len(buses)))
+    for i, bi in enumerate(buses):
+        for k in range(i + 1, len(buses)):
+            bk = buses[k]
+            v = 0.5 * (ld(slices[bi]) + ld(slices[bk]) - ld(slices[bi] + slices[bk]))
+            out[i, k] = out[k, i] = v
+    return out
+
+
+def _assert_parity(panel, frame, source, include_slack=False):
+    ref_cov, ref_slices = _reference_statistics(panel, frame, source, include_slack)
+    stats = PanelStatistics(panel, frame=frame, source=source, include_slack=include_slack)
+    assert stats.slices == ref_slices
+    assert stats.dim == ref_cov.shape[0] and stats.n_samples == panel.n_samples
+    assert stats.cov.dtype == ref_cov.dtype
+    assert np.abs(stats.cov - ref_cov).max() <= 1e-9 * np.abs(ref_cov).max()
+    ref_mi = _reference_mi(ref_cov, ref_slices)
+    got = stats.mi_matrix().values
+    assert np.abs(got - ref_mi).max() <= 1e-9 * np.abs(ref_mi).max()
+
+
+@pytest.mark.parametrize("T", [31, 241, 8760])
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+@pytest.mark.parametrize("source", ["complex", "magnitude"])
+def test_panel_statistics_matches_per_bus_reference(bus8, bus8_spec, T, frame, source):
+    _assert_parity(_inc(bus8, bus8_spec, T, 11), frame, source)
+
+
+@pytest.mark.parametrize("T", [31, 241, 8760])
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+def test_panel_statistics_matches_reference_on_magnitude_only_panel(bus8, bus8_spec, T, frame):
+    volts = to_magnitude(integrate_voltages(_inc(bus8, bus8_spec, T, 12)))
+    _assert_parity(difference(volts), frame, "magnitude")
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+@pytest.mark.parametrize("source", ["complex", "magnitude"])
+def test_panel_statistics_matches_reference_with_slack(bus8, bus8_spec, frame, source):
+    panel = generate_increments(bus8, bus8_spec, T=241, seed=13, slack_sigma=0.01)
+    _assert_parity(panel, frame, source, include_slack=True)
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+@pytest.mark.parametrize("source", ["complex", "magnitude"])
+def test_zero_variance_error_names_the_reference_buses(bus8, bus8_spec, frame, source):
+    panel = _inc(bus8, bus8_spec, 241, 14)
+    panel.values[:, 3, :] = 0.0
+    panel.values[:, 5, 1] = 0.0
+    with pytest.raises(SingularCovarianceError) as want:
+        _reference_statistics(panel, frame, source)
+    with pytest.raises(SingularCovarianceError) as got:
+        PanelStatistics(panel, frame=frame, source=source)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("[3, 5]" if frame == "phase" else "[3]")
+
+
+def test_panel_statistics_accepts_strided_values(bus8, bus8_spec):
+    panel = _inc(bus8, bus8_spec, 200, 18)
+    wide = np.zeros(panel.values.shape[:2] + (6,), dtype=complex)
+    wide[..., ::2] = panel.values
+    strided = dataclasses.replace(panel, values=wide[..., ::2])
+    for frame in ("phase", "sequence"):
+        want = PanelStatistics(panel, frame=frame).cov
+        assert np.array_equal(PanelStatistics(strided, frame=frame).cov, want)
+
+
+def test_sequence_real_cov_matches_dense_transform(bus8_analytic):
+    acov = bus8_analytic
+    D = acov.dim
+    B = np.zeros((2 * D, 2 * D))
+    for b in sorted({b for b, _ in acov.coords}):
+        pos = np.asarray(acov.coord_positions(b))
+        A = SEQ_H_INV[:len(pos)][:, [s for bb, s in acov.coords if bb == b]]
+        B[np.ix_(pos, pos)] = A.real
+        B[np.ix_(pos, pos + D)] = -A.imag
+        B[np.ix_(pos + D, pos)] = A.imag
+        B[np.ix_(pos + D, pos + D)] = A.real
+    want = B @ acov.real @ B.T
+    assert np.abs(sequence_real_cov(acov, None) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# -- ridge ---------------------------------------------------------------
+
+
+def test_ridge_adds_to_the_standardized_diagonal(bus8, bus8_spec):
+    panel = _inc(bus8, bus8_spec, 300, 15)
+    for frame in ("phase", "sequence"):
+        for source in ("complex", "magnitude"):
+            base = PanelStatistics(panel, frame=frame, source=source).cov
+            loaded = PanelStatistics(panel, frame=frame, source=source, ridge=0.25).cov
+            assert np.array_equal(loaded, base + 0.25 * np.eye(base.shape[0]))
+
+
+def test_ridge_rescues_a_duplicated_channel(bus8, bus8_spec):
+    panel = _inc(bus8, bus8_spec, 600, 16)
+    panel.values[:, 2, 1] = panel.values[:, 2, 0]
+    with pytest.raises(SingularCovarianceError):
+        PanelStatistics(panel).mi_matrix()
+    mi = PanelStatistics(panel, ridge=1e-3).mi_matrix()
+    assert np.all(np.isfinite(mi.values))
+
+
+@pytest.mark.parametrize("ridge", [-1.0, -1e-12, math.nan, math.inf])
+def test_ridge_rejects_negative_and_non_finite(bus8, bus8_spec, ridge):
+    panel = _inc(bus8, bus8_spec, 100, 17)
+    with pytest.raises(InfoCoreError, match="ridge"):
+        PanelStatistics(panel, ridge=ridge)
+
+
 # -- magnitude and angle split -------------------------------------------
 
 
@@ -332,3 +490,16 @@ def test_mi_matrix_csv_round_trip(bus8, bus8_spec):
 def test_mi_matrix_csv_rejects_bad_header():
     with pytest.raises(InfoCoreError):
         MIMatrix.from_csv(io.StringIO("a,b,c\n1,2,0.5\n"))
+
+
+@pytest.mark.parametrize("body,line_no", [
+    ("1,x,0.5\n", 2),
+    ("1,2,0.5\n1,2\n", 3),
+    ("\n1,2,0.5\n\n2,3,oops\n", 5),
+    ("1,2,nan\n", 2),
+    ("1,2,inf\n", 2),
+    ("1,2,0.5\n3.5,4,0.1\n", 3),
+])
+def test_mi_matrix_csv_names_the_bad_line(body, line_no):
+    with pytest.raises(InfoCoreError, match=f"line {line_no}:"):
+        MIMatrix.from_csv(io.StringIO("bus_i,bus_j,mi_nats\n" + body))
