@@ -103,6 +103,7 @@ from .eval_harness import (
     EvalReport,
     ScenarioConfig,
     build_context,
+    draw_panel,
     edge_errors,
     error_rate,
     estimate_topology,

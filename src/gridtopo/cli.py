@@ -11,19 +11,18 @@ tree, unresolved phases), 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .eval_harness import (ScenarioConfig, SWEEP_AXES, _LABEL_SEED_OFFSET,
-                           _NOISE_SEED_OFFSET, estimate_topology, monte_carlo,
-                           sweep, write_sweep_csv)
-from .feeders import FEEDER_NAMES, make_feeder
+from .eval_harness import (EvalError, ScenarioConfig, SWEEP_AXES, build_context,
+                           draw_panel, estimate_topology, monte_carlo, sweep,
+                           write_sweep_csv)
+from .feeders import FEEDER_NAMES
 from .grid_model import PHASES, TopologyFormatError, topology_from_csv, topology_to_csv
 from .info_core import InfoCoreError
 from .phase_id import PhaseIdError, assign_phases, diagnose_labels
-from .synth_lab import (InjectionSpec, MeasurementFormatError, NoiseSpec,
-                        SynthError, apply_noise, corrupt_labels,
-                        generate_increments, integrate_voltages, labels_to_csv,
+from .synth_lab import (MeasurementFormatError, SynthError, labels_to_csv,
                         panel_from_csv, panel_to_csv, to_magnitude)
 from .topo_est import TopologyEstimateError, estimate_from_csv
 
@@ -126,31 +125,11 @@ def build_parser():
     return ap
 
 
-def _simulated_panel(args, topology):
-    spec = InjectionSpec.random(
-        topology, seed=args.injection_seed, base_sigma=args.base_sigma,
-        reactive_ratio=args.reactive_ratio,
-    )
-    inc = generate_increments(topology, spec, args.samples - 1, seed=args.seed,
-                              slack_sigma=args.slack_sigma)
-    volts = integrate_voltages(inc)
-    if args.noise > 0.0:
-        volts = apply_noise(volts, NoiseSpec(args.noise, args.noise_distribution),
-                            seed=args.seed + _NOISE_SEED_OFFSET)
-    if args.label_corruption > 0.0:
-        heads = topology.children_of(0)
-        volts = corrupt_labels(volts, args.label_corruption,
-                               seed=args.seed + _LABEL_SEED_OFFSET,
-                               protect=(min(heads),) if heads else ())
-    return volts
-
-
 def cmd_simulate(args):
-    if args.topology:
-        topo = topology_from_csv(args.topology)
-    else:
-        topo = make_feeder(args.feeder)
-    volts = _simulated_panel(args, topo)
+    topology = topology_from_csv(args.topology) if args.topology else None
+    ctx = build_context(_scenario_from_args(args), topology=topology)
+    topo = ctx.topology
+    volts = draw_panel(ctx, args.seed)
     if args.magnitude_only:
         volts = to_magnitude(volts)
     topology_to_csv(topo, args.out + ".topology.csv")
@@ -221,27 +200,17 @@ def cmd_identify_phases(args):
     return 0
 
 
+# flags whose names differ from the ScenarioConfig field they set; every
+# other flag named like a field sets that field
+_FLAG_FIELDS = {"samples": "n_samples", "noise": "noise_bound",
+                "label_corruption": "label_fraction", "root": "declared_root"}
+
+
 def _scenario_from_args(args):
-    return ScenarioConfig(
-        feeder=args.feeder,
-        n_samples=args.samples,
-        frame=args.frame,
-        source=args.source if args.source != "auto" else "complex",
-        noise_bound=args.noise,
-        noise_distribution=args.noise_distribution,
-        label_fraction=args.label_corruption,
-        mesh=args.mesh,
-        gain_tol=args.gain_tol,
-        der_scale=args.der_scale,
-        der_fraction=args.der_fraction,
-        resolution_stride=args.resolution_stride,
-        base_sigma=args.base_sigma,
-        injection_seed=args.injection_seed,
-        reactive_ratio=args.reactive_ratio,
-        slack_sigma=args.slack_sigma,
-        declared_root=args.root,
-        ridge=args.ridge,
-    )
+    """The ScenarioConfig set by whichever scenario flags a command has."""
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    given = {_FLAG_FIELDS.get(k, k): v for k, v in vars(args).items()}
+    return ScenarioConfig(**{k: v for k, v in given.items() if k in fields})
 
 
 def cmd_evaluate(args):
@@ -296,7 +265,7 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SynthError, InfoCoreError, PhaseIdError, ValueError) as exc:
+    except (SynthError, InfoCoreError, PhaseIdError, EvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

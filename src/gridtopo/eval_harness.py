@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feeders import make_feeder
-from .info_core import PanelStatistics, difference, substation_mi
+from .info_core import PanelStatistics, difference
 from .phase_id import assign_phases, assignment_accuracy
 from .synth_lab import (FeederSampler, InjectionSpec, NoiseSpec, apply_noise,
                         corrupt_labels, integrate_voltages)
@@ -104,8 +104,22 @@ class ScenarioConfig:
     phases: bool = True
     use_increment_correlation: bool = True
     ridge: float = 0.0
-    protect_feeder_head: bool = True
     z_base_ohm: float = 10.0
+
+    def __post_init__(self):
+        checks = (
+            ("n_samples", self.n_samples >= 2, "at least 2"),
+            ("noise_bound", 0.0 <= self.noise_bound < 0.5, "in [0, 0.5)"),
+            ("noise_distribution", self.noise_distribution in ("uniform", "gaussian"),
+             "'uniform' or 'gaussian'"),
+            ("label_fraction", 0.0 <= self.label_fraction <= 1.0, "in [0, 1]"),
+            ("der_scale", self.der_scale > 0.0, "positive"),
+            ("der_fraction", 0.0 < self.der_fraction <= 1.0, "in (0, 1]"),
+            ("resolution_stride", self.resolution_stride >= 1, "at least 1"),
+        )
+        for name, ok, want in checks:
+            if not ok:
+                raise EvalError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -148,22 +162,31 @@ def build_context(config, topology=None):
     )
 
 
-def run_replicate(ctx, seed, replicate=None):
-    """One draw-and-recover pass; returns a flat result dict."""
+def draw_panel(ctx, seed):
+    """One draw of the scenario's measured voltage panel.
+
+    Increments under seed, integrated, strided, then meter noise and
+    label corruption (feeder head protected) under derived seeds.
+    """
     cfg = ctx.config
     inc = ctx.sampler.increments(cfg.n_samples - 1, seed=seed,
                                  slack_sigma=cfg.slack_sigma)
     volts = integrate_voltages(inc)
     if cfg.resolution_stride > 1:
-        volts = volts.copy()
         volts.values = volts.values[::cfg.resolution_stride]
     if cfg.noise_bound > 0.0:
         noise = NoiseSpec(bound=cfg.noise_bound, distribution=cfg.noise_distribution)
         volts = apply_noise(volts, noise, seed=seed + _NOISE_SEED_OFFSET)
     if cfg.label_fraction > 0.0:
-        protect = (ctx.feeder_head,) if cfg.protect_feeder_head else ()
         volts = corrupt_labels(volts, cfg.label_fraction,
-                               seed=seed + _LABEL_SEED_OFFSET, protect=protect)
+                               seed=seed + _LABEL_SEED_OFFSET, protect=(ctx.feeder_head,))
+    return volts
+
+
+def run_replicate(ctx, seed, replicate=None):
+    """One draw-and-recover pass; returns a flat result dict."""
+    cfg = ctx.config
+    volts = draw_panel(ctx, seed)
     estimate, stats = estimate_topology(volts, frame=cfg.frame, source=cfg.source,
                                         mesh=cfg.mesh, max_chords=cfg.max_chords,
                                         gain_tol=cfg.gain_tol, ridge=cfg.ridge,
@@ -196,6 +219,8 @@ def estimate_topology(volt_panel, frame="phase", source="complex", mesh=False,
     Returns (EdgeSetEstimate, PanelStatistics). The magnitude source
     works on the moduli of the complex increments; a panel that only
     ever stored magnitudes falls back to increments of those readings.
+    The substation test reads the same statistics, so a request builds
+    one covariance.
     """
     inc = difference(volt_panel)
     stats = PanelStatistics(inc, frame=frame, source=source, ridge=ridge)
@@ -206,8 +231,8 @@ def estimate_topology(volt_panel, frame="phase", source="complex", mesh=False,
                                     gain_tol=gain_tol)
     else:
         estimate = max_weight_spanning_tree(mi)
-    sub = substation_mi(inc, frame=frame, source=source)
-    estimate = attach_root(estimate, substation_mi=sub, declared_root=declared_root)
+    estimate = attach_root(estimate, substation_mi=stats.substation_mi(),
+                           declared_root=declared_root)
     return estimate, stats
 
 
@@ -289,32 +314,25 @@ def monte_carlo(config, replicates, base_seed=0, threads=1, context=None,
     """Run independent replicates of a scenario and aggregate.
 
     Replicate r uses seed base_seed ^ r so a single base seed pins the
-    entire experiment. Per-replicate exceptions are recorded as
-    failures rather than aborting the run.
+    entire experiment. Replicates run on a pool of `threads` workers.
+    Per-replicate exceptions are recorded as failures rather than
+    aborting the run.
     """
     if replicates < 1:
         raise EvalError("need at least one replicate")
+    if threads < 1:
+        raise EvalError(f"threads must be at least 1, got {threads}")
     t0 = time.perf_counter()
     ctx = context if context is not None else build_context(config)
-    jobs = [(r, base_seed ^ r) for r in range(replicates)]
-    results = []
-    failures = []
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(run_replicate, ctx, s, r): r for r, s in jobs}
-            for fut in concurrent.futures.as_completed(futs):
-                r = futs[fut]
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    failures.append((r, f"{type(exc).__name__}: {exc}"))
-    else:
-        for r, s in jobs:
+    results, failures = [], []
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        futs = {pool.submit(run_replicate, ctx, base_seed ^ r, r): r
+                for r in range(replicates)}
+        for fut in concurrent.futures.as_completed(futs):
             try:
-                results.append(run_replicate(ctx, s, r))
+                results.append(fut.result())
             except Exception as exc:
-                failures.append((r, f"{type(exc).__name__}: {exc}"))
+                failures.append((futs[fut], f"{type(exc).__name__}: {exc}"))
     wall = time.perf_counter() - t0
     return _aggregate(results, failures, ctx.config, replicates, base_seed,
                       axis, value, wall)
@@ -330,19 +348,11 @@ def sweep(config, axis, values, replicates, base_seed=0, threads=1):
     if axis not in SWEEP_AXES:
         raise EvalError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     fieldname = SWEEP_AXES[axis]
-    shared = None
-    if axis != "der_scale":
-        shared = build_context(config)
+    shared = None if axis == "der_scale" else build_context(config)
     reports = []
     for v in values:
         cfg = config.replaced(**{fieldname: type(getattr(config, fieldname))(v)})
-        ctx = shared
-        if ctx is None:
-            ctx = build_context(cfg)
-        else:
-            ctx = ScenarioContext(config=cfg, topology=ctx.topology, spec=ctx.spec,
-                                  sampler=ctx.sampler, true_edges=ctx.true_edges,
-                                  feeder_head=ctx.feeder_head)
+        ctx = build_context(cfg) if shared is None else dataclasses.replace(shared, config=cfg)
         reports.append(monte_carlo(cfg, replicates, base_seed=base_seed,
                                    threads=threads, context=ctx, axis=axis, value=v))
     return reports

@@ -281,6 +281,25 @@ def _feature_cov(panel, bus_ids, frame, source):
     return _congruence(cov, blocks), slices
 
 
+# below this eigenvalue ratio the substation block is treated as
+# numerically rank-deficient rather than merely ill-conditioned
+_SUBSTATION_RANK_RTOL = 1e-6
+
+
+def _slack_has_signal(panel, frame, source):
+    """Whether the substation's own feature block is usable.
+
+    It is not when the series is constant (the generator's fixed-voltage
+    convention) or when meter noise rides a constant, which keeps the
+    voltage angle locked so the block loses rank.
+    """
+    slack, _ = _feature_cov(panel, [0], frame, source)
+    if slack.size == 0 or np.any(slack.diagonal().real <= 0.0):
+        return False
+    eigs = np.linalg.eigvalsh(_corr_normalize(slack))
+    return eigs[0] > _SUBSTATION_RANK_RTOL * eigs[-1]
+
+
 def _validate_frame_source(frame, source):
     if frame not in FRAMES:
         raise InfoCoreError(f"frame must be one of {FRAMES}, got {frame!r}")
@@ -300,12 +319,15 @@ class PanelStatistics:
     submatrix and taking its log-determinant, which keeps the all-pairs
     matrix cheap: the determinants are batched per joint dimension.
 
+    The substation (bus 0) joins the gather only when its own block
+    carries a usable signal (see _slack_has_signal); otherwise the
+    statistics cover the non-slack buses alone.
+
     ridge >= 0 is added to the standardized diagonal; it is a
     last-resort retry for singular sample covariances.
     """
 
-    def __init__(self, panel, frame="phase", source="complex",
-                 include_slack=False, ridge=0.0):
+    def __init__(self, panel, frame="phase", source="complex", ridge=0.0):
         _validate_frame_source(frame, source)
         if not (math.isfinite(ridge) and ridge >= 0.0):
             raise InfoCoreError(f"ridge must be a finite non-negative number, got {ridge!r}")
@@ -315,7 +337,8 @@ class PanelStatistics:
         self.source = source
         self.panel = panel
         self.hermitian = frame == "sequence" and source == "magnitude"
-        bus_ids = list(range(0 if include_slack else 1, panel.n_buses))
+        first = 0 if _slack_has_signal(panel, frame, source) else 1
+        bus_ids = list(range(first, panel.n_buses))
         cov, self.slices = _feature_cov(panel, bus_ids, frame, source)
         self.n_samples = n = panel.n_samples
         self.dim = cov.shape[0]
@@ -414,6 +437,28 @@ class PanelStatistics:
         return MIMatrix(bus_ids=tuple(buses), values=values,
                         frame=self.frame, source=self.source)
 
+    def substation_mi(self, significance=1e-3):
+        """MI between the substation and every non-slack bus, or None.
+
+        None when bus 0 is not in the statistics (its block carries no
+        usable signal), or when its dependence on every other bus is
+        indistinguishable from the chi-square independence null at the
+        given significance level, Bonferroni-corrected over buses.
+        """
+        if 0 not in self.slices or len(self.bus_ids) < 2:
+            return None
+        out = {b: self.pair_mi(0, b) for b in self.bus_ids if b != 0}
+        # each cross-covariance entry carries two real parameters on the
+        # hermitian (complex) path, one on the stacked real path
+        per_entry = 2 if self.hermitian else 1
+        d0 = len(self.slices[0])
+        alpha = significance / len(out)
+        for b, v in out.items():
+            dof = per_entry * d0 * len(self.slices[b])
+            if v > scipy.stats.chi2.ppf(1.0 - alpha, dof) / (2.0 * self.n_samples):
+                return out
+        return None
+
 
 @dataclass
 class MIMatrix:
@@ -510,47 +555,17 @@ def mi_matrix(panel, frame="phase", source="complex", ridge=0.0):
     return PanelStatistics(panel, frame=frame, source=source, ridge=ridge).mi_matrix()
 
 
-# below this eigenvalue ratio the substation block is treated as
-# numerically rank-deficient rather than merely ill-conditioned
-_SUBSTATION_RANK_RTOL = 1e-6
-
-
 def substation_mi(panel, frame="phase", source="complex", significance=1e-3):
     """MI between the substation and every non-slack bus, or None.
 
-    Returns None when the substation series carries no usable signal.
-    That covers three situations: a constant series, which is the
-    fixed-voltage convention of the generator; meter noise riding a
-    constant, which keeps the voltage angle locked so the stacked block
-    loses rank; and a full-rank series whose dependence on every other
-    bus is indistinguishable from the chi-square independence null at
-    the given significance level, Bonferroni-corrected over buses.
+    PanelStatistics(panel, frame, source).substation_mi(significance),
+    with the cheap test of the substation block first, so a panel whose
+    substation carries no usable signal never builds the full statistics.
     """
     _validate_frame_source(frame, source)
-    slack, _ = _feature_cov(panel, [0], frame, source)
-    if np.any(slack.diagonal().real <= 0.0):
+    if not _slack_has_signal(panel, frame, source):
         return None
-    eigs = np.linalg.eigvalsh(_corr_normalize(slack))
-    if eigs[0] <= _SUBSTATION_RANK_RTOL * eigs[-1]:
-        return None
-    stats = PanelStatistics(panel, frame=frame, source=source, include_slack=True)
-    out = {}
-    for b in stats.bus_ids:
-        if b == 0:
-            continue
-        out[b] = stats.pair_mi(0, b)
-    if not out:
-        return None
-    # each cross-covariance entry carries two real parameters on the
-    # hermitian (complex) path, one on the stacked real path
-    per_entry = 2 if stats.hermitian else 1
-    d0 = len(stats.slices[0])
-    alpha = significance / len(out)
-    for b, v in out.items():
-        dof = per_entry * d0 * len(stats.slices[b])
-        if v > scipy.stats.chi2.ppf(1.0 - alpha, dof) / (2.0 * stats.n_samples):
-            return out
-    return None
+    return PanelStatistics(panel, frame=frame, source=source).substation_mi(significance)
 
 
 # ---------------------------------------------------------------------

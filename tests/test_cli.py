@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from gridtopo.cli import build_parser, main
+from gridtopo.eval_harness import ScenarioConfig, build_context, draw_panel
 from gridtopo.feeders import make_feeder
+from gridtopo.synth_lab import labels_to_csv, panel_to_csv
 from gridtopo.topo_est import estimate_from_csv
 
 
@@ -64,6 +66,31 @@ def test_estimate_recovers_tree_exit_zero(tmp_path, capsys):
     with open(out) as fh:
         header = fh.readline().strip()
     assert "mi_nats" in header
+
+
+def test_simulate_writes_the_harness_draw(tmp_path):
+    _simulate(tmp_path, "--noise", "0.002", "--label-corruption", "0.3",
+              "--slack-sigma", "0.01", samples=300, seed=4)
+    cfg = ScenarioConfig(feeder="bus8", n_samples=300, noise_bound=0.002,
+                         label_fraction=0.3, slack_sigma=0.01)
+    volts = draw_panel(build_context(cfg), 4)
+    panel_to_csv(volts, str(tmp_path / "want.measurements.csv"))
+    labels_to_csv(volts, str(tmp_path / "want.labels.csv"))
+    for suffix in (".measurements.csv", ".labels.csv"):
+        got = (tmp_path / ("sim" + suffix)).read_bytes()
+        assert got == (tmp_path / ("want" + suffix)).read_bytes()
+
+
+def test_estimate_roots_at_the_head_from_a_substation_signal(tmp_path, capsys):
+    prefix = _simulate(tmp_path, "--slack-sigma", "0.01")
+    out = str(tmp_path / "est.csv")
+    rc = main(["estimate", "--measurements", prefix + ".measurements.csv",
+               "--out", out])
+    assert rc == 0
+    assert "unrooted" not in capsys.readouterr().err
+    est = estimate_from_csv(out)
+    assert est.root_edge == (0, min(make_feeder("bus8").children_of(0)))
+    assert set(est.edges) == set(make_feeder("bus8").edge_set(include_root=False))
 
 
 def test_estimate_without_root_flags_unrooted(tmp_path, capsys):
@@ -187,6 +214,46 @@ def test_evaluate_writes_report(tmp_path, capsys):
     assert data["replicates"] == 3
     assert "wall_time_s" not in data
     assert data["error_rate_mean"] == 0.0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--replicates", "0"],
+    ["--threads", "0"],
+])
+def test_evaluate_bad_run_size_exits_two(tmp_path, capsys, flags):
+    rc = main(["evaluate", "--feeder", "bus8", "--samples", "200", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("simulate", "--noise", "-0.1", "noise_bound"),
+    ("simulate", "--label-corruption", "-0.5", "label_fraction"),
+    ("simulate", "--samples", "1", "n_samples"),
+    ("evaluate", "--noise", "-0.1", "noise_bound"),
+    ("evaluate", "--resolution-stride", "0", "resolution_stride"),
+    ("evaluate", "--der-fraction", "5", "der_fraction"),
+    ("sweep", "--label-corruption", "-0.5", "label_fraction"),
+])
+def test_bad_generation_input_exits_two_naming_the_field(tmp_path, capsys, command,
+                                                         flag, value, field):
+    argv = [command, "--feeder", "bus8", "--samples", "200", flag, value,
+            "--out", str(tmp_path / "run")]
+    if command == "sweep":
+        argv += ["--axis", "noise", "--values", "0"]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_rejects_a_bad_axis_value(tmp_path, capsys):
+    rc = main(["sweep", "--feeder", "bus8", "--samples", "200", "--replicates", "1",
+               "--axis", "resolution", "--values", "0", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "resolution_stride" in capsys.readouterr().err
 
 
 def test_sweep_writes_axis_files(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gridtopo import info_core
 from gridtopo.eval_harness import (
     EvalError,
     ScenarioConfig,
@@ -139,6 +140,47 @@ def test_replicate_failures_recorded_not_raised():
 def test_zero_replicates_rejected():
     with pytest.raises(EvalError):
         monte_carlo(ScenarioConfig(feeder="bus8", n_samples=200), 0)
+
+
+def test_zero_threads_rejected():
+    with pytest.raises(EvalError, match="threads"):
+        monte_carlo(ScenarioConfig(feeder="bus8", n_samples=200), 2, threads=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_samples", 1),
+    ("noise_bound", -0.1),
+    ("noise_bound", 0.5),
+    ("noise_distribution", "laplace"),
+    ("label_fraction", -0.5),
+    ("label_fraction", 1.5),
+    ("der_scale", 0.0),
+    ("der_fraction", 0.0),
+    ("der_fraction", 5.0),
+    ("resolution_stride", 0),
+])
+def test_config_rejects_bad_generation_input(field, value):
+    with pytest.raises(EvalError, match=field):
+        ScenarioConfig(feeder="bus8", **{field: value})
+    with pytest.raises(EvalError, match=field):
+        ScenarioConfig(feeder="bus8").replaced(**{field: value})
+
+
+def test_rooted_request_builds_one_statistics(bus8, bus8_spec, monkeypatch):
+    built = []
+    init = info_core.PanelStatistics.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(info_core.PanelStatistics, "__init__", counting_init)
+    volts = integrate_voltages(generate_increments(bus8, bus8_spec, T=2000, seed=3,
+                                                   slack_sigma=0.01))
+    est, stats = estimate_topology(volts, frame="sequence")
+    assert built == [stats]
+    assert stats.bus_ids[0] == 0
+    assert est.root_edge == (0, 1)
 
 
 def test_noise_and_label_paths_stay_exact_on_small_feeder():

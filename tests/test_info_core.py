@@ -23,6 +23,7 @@ from gridtopo.info_core import (
     mi_matrix,
     mutual_information,
     sequence_real_cov,
+    _feature_cov,
     substation_mi,
     to_sequence,
 )
@@ -239,9 +240,9 @@ def _reference_features(panel, bus_id, frame, source):
     return np.hstack([x.real, x.imag])
 
 
-def _reference_statistics(panel, frame, source, include_slack=False):
+def _reference_statistics(panel, frame, source, slack=False):
     """(standardized covariance, slices) built bus by bus from the data."""
-    buses = list(range(0 if include_slack else 1, panel.n_buses))
+    buses = list(range(0 if slack else 1, panel.n_buses))
     feats = [_reference_features(panel, b, frame, source) for b in buses]
     slices, start = {}, 0
     for b, f in zip(buses, feats):
@@ -273,9 +274,9 @@ def _reference_mi(cov, slices):
     return out
 
 
-def _assert_parity(panel, frame, source, include_slack=False):
-    ref_cov, ref_slices = _reference_statistics(panel, frame, source, include_slack)
-    stats = PanelStatistics(panel, frame=frame, source=source, include_slack=include_slack)
+def _assert_parity(panel, frame, source, slack=False):
+    ref_cov, ref_slices = _reference_statistics(panel, frame, source, slack)
+    stats = PanelStatistics(panel, frame=frame, source=source)
     assert stats.slices == ref_slices
     assert stats.dim == ref_cov.shape[0] and stats.n_samples == panel.n_samples
     assert stats.cov.dtype == ref_cov.dtype
@@ -303,7 +304,23 @@ def test_panel_statistics_matches_reference_on_magnitude_only_panel(bus8, bus8_s
 @pytest.mark.parametrize("source", ["complex", "magnitude"])
 def test_panel_statistics_matches_reference_with_slack(bus8, bus8_spec, frame, source):
     panel = generate_increments(bus8, bus8_spec, T=241, seed=13, slack_sigma=0.01)
-    _assert_parity(panel, frame, source, include_slack=True)
+    _assert_parity(panel, frame, source, slack=True)
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+@pytest.mark.parametrize("source", ["complex", "magnitude"])
+def test_constant_slack_is_left_out_of_the_gather(bus8, bus8_spec, frame, source):
+    """The slack test never reorders the non-slack covariance arithmetic."""
+    panel = _inc(bus8, bus8_spec, 241, 15)
+    stats = PanelStatistics(panel, frame=frame, source=source)
+    assert stats.bus_ids == list(range(1, panel.n_buses)) and 0 not in stats.slices
+    cov, slices = _feature_cov(panel, stats.bus_ids, frame, source)
+    n = panel.n_samples
+    sd = np.sqrt(cov.diagonal().real * ((n - 1) / n))
+    cov /= np.outer(sd, sd)
+    assert stats.slices == slices
+    assert np.array_equal(stats.cov, cov)
+    assert stats.substation_mi() is None
 
 
 @pytest.mark.parametrize("frame", ["phase", "sequence"])
@@ -429,6 +446,18 @@ def test_substation_accepts_common_mode(bus8, bus8_spec):
     assert out is not None
     assert set(out) == set(bus8.non_slack_ids)
     assert all(v >= 0 for v in out.values())
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+@pytest.mark.parametrize("source", ["complex", "magnitude"])
+def test_substation_mi_reads_the_estimator_statistics(bus8, bus8_spec, frame, source):
+    panel = generate_increments(bus8, bus8_spec, T=2000, seed=3, slack_sigma=0.01)
+    stats = PanelStatistics(panel, frame=frame, source=source)
+    assert stats.bus_ids[0] == 0
+    out = stats.substation_mi()
+    assert out is not None
+    assert out == substation_mi(panel, frame=frame, source=source)
+    assert out == {b: stats.pair_mi(0, b) for b in bus8.non_slack_ids}
 
 
 def test_substation_points_at_copied_bus(bus8, bus8_spec, rng):
