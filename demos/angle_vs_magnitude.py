@@ -22,7 +22,6 @@ from gridtopo import (
     integrate_voltages,
     make_feeder,
     mi_breakdown,
-    mutual_information,
     to_magnitude,
 )
 

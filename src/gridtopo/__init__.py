@@ -60,32 +60,20 @@ from .info_core import (
     MIMatrix,
     PanelStatistics,
     SingularCovarianceError,
-    analytic_conditional_mi,
-    analytic_group_mi,
-    analytic_mi_matrix,
-    conditional_mi_from_cov,
     difference,
-    entropy_from_cov,
-    from_sequence,
-    gaussian_entropy,
     mi_breakdown,
-    mi_from_cov,
     mi_matrix,
-    mutual_information,
-    sequence_real_cov,
     substation_mi,
-    to_sequence,
 )
 from .topo_est import (
     EdgeSetEstimate,
     TopologyEstimateError,
     UnionFind,
     attach_root,
-    enumerate_spanning_trees,
     estimate_from_csv,
+    estimate_topology,
     max_weight_spanning_tree,
-    random_spanning_tree,
-    tree_weight,
+    recover,
     weak_mesh_search,
 )
 from .phase_id import (
@@ -94,7 +82,6 @@ from .phase_id import (
     assign_phases,
     assignment_accuracy,
     channel_correlation,
-    check_resistive_premise,
     diagnose_labels,
     edge_correlation_margins,
 )
@@ -106,7 +93,6 @@ from .eval_harness import (
     draw_panel,
     edge_errors,
     error_rate,
-    estimate_topology,
     monte_carlo,
     run_replicate,
     sweep,

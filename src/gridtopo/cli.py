@@ -16,15 +16,14 @@ import json
 import sys
 
 from .eval_harness import (EvalError, ScenarioConfig, SWEEP_AXES, build_context,
-                           draw_panel, estimate_topology, monte_carlo, sweep,
-                           write_sweep_csv)
+                           draw_panel, monte_carlo, sweep, write_sweep_csv)
 from .feeders import FEEDER_NAMES
 from .grid_model import PHASES, TopologyFormatError, topology_from_csv, topology_to_csv
 from .info_core import InfoCoreError
 from .phase_id import PhaseIdError, assign_phases, diagnose_labels
 from .synth_lab import (MeasurementFormatError, SynthError, labels_to_csv,
                         panel_from_csv, panel_to_csv, to_magnitude)
-from .topo_est import TopologyEstimateError, estimate_from_csv
+from .topo_est import TopologyEstimateError, estimate_from_csv, estimate_topology
 
 _INPUT_ERRORS = (TopologyFormatError, MeasurementFormatError,
                  TopologyEstimateError, FileNotFoundError, IsADirectoryError)

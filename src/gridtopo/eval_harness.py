@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feeders import make_feeder
-from .info_core import PanelStatistics, difference
 from .phase_id import assign_phases, assignment_accuracy
 from .synth_lab import (FeederSampler, InjectionSpec, NoiseSpec, apply_noise,
                         corrupt_labels, integrate_voltages)
-from .topo_est import attach_root, max_weight_spanning_tree, weak_mesh_search
+from .topo_est import estimate_topology
 
 
 class EvalError(Exception):
@@ -212,30 +211,6 @@ def run_replicate(ctx, seed, replicate=None):
     return out
 
 
-def estimate_topology(volt_panel, frame="phase", source="complex", mesh=False,
-                      max_chords=1, gain_tol=0.01, ridge=0.0, declared_root=None):
-    """Full recovery pipeline from a voltage panel.
-
-    Returns (EdgeSetEstimate, PanelStatistics). The magnitude source
-    works on the moduli of the complex increments; a panel that only
-    ever stored magnitudes falls back to increments of those readings.
-    The substation test reads the same statistics, so a request builds
-    one covariance.
-    """
-    inc = difference(volt_panel)
-    stats = PanelStatistics(inc, frame=frame, source=source, ridge=ridge)
-    mi = stats.mi_matrix()
-    if mesh:
-        provider = lambda m, pair: stats.group_mi([m], list(pair))
-        estimate = weak_mesh_search(mi, provider, max_chords=max_chords,
-                                    gain_tol=gain_tol)
-    else:
-        estimate = max_weight_spanning_tree(mi)
-    estimate = attach_root(estimate, substation_mi=stats.substation_mi(),
-                           declared_root=declared_root)
-    return estimate, stats
-
-
 @dataclass
 class EvalReport:
     """Aggregated Monte Carlo results for one scenario (or sweep point)."""
@@ -348,10 +323,14 @@ def sweep(config, axis, values, replicates, base_seed=0, threads=1):
     if axis not in SWEEP_AXES:
         raise EvalError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     fieldname = SWEEP_AXES[axis]
+    cast = type(getattr(config, fieldname))
+    for v in values:
+        if cast is int and not float(v).is_integer():
+            raise EvalError(f"{axis} values must be whole numbers, got {v!r}")
     shared = None if axis == "der_scale" else build_context(config)
     reports = []
     for v in values:
-        cfg = config.replaced(**{fieldname: type(getattr(config, fieldname))(v)})
+        cfg = config.replaced(**{fieldname: cast(v)})
         ctx = build_context(cfg) if shared is None else dataclasses.replace(shared, config=cfg)
         reports.append(monte_carlo(cfg, replicates, base_seed=base_seed,
                                    threads=threads, context=ctx, axis=axis, value=v))

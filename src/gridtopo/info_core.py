@@ -1,10 +1,13 @@
 """Gaussian information measures over measurement panels.
 
 Everything the topology estimator needs reduces to log-determinants of
-sample covariance matrices: differential entropies, pairwise and group
-mutual information, and the all-pairs mutual information matrix in one
-of two frames (phase or symmetrical-component) from one of two sources
-(complex phasors or magnitudes).
+one standardized covariance: pairwise and group mutual information and
+the all-pairs mutual information matrix, in one of two frames (phase or
+symmetrical-component) from one of two sources (complex phasors or
+magnitudes). PanelStatistics is that one kernel. It is built from the
+sample covariance of a panel or, through PanelStatistics.from_analytic,
+from the exact covariance of the increment model (infinite data); both
+sources share every step after the gather.
 
 Complex observations are treated as real vectors of stacked (Re, Im)
 parts. The magnitude source takes the moduli of the complex increments
@@ -14,7 +17,9 @@ exception to real stacking: the transformed vectors are complex images
 of real data, so their real stacking is rank deficient by construction
 and the Hermitian covariance determinant is used instead; the resulting
 score equals the phase-frame magnitude value because the transform
-determinants cancel. All values are in nats.
+determinants cancel. All values are in nats. Conditional mutual
+information follows from the chain rule,
+I(A; B | Z) = I(A; B, Z) - I(A; Z), as two group_mi calls.
 
 A panel's statistics come from one (T, D) block of channels, gathered
 in a single take through the flattened mask (complex channels through
@@ -39,8 +44,6 @@ import scipy.stats
 
 FRAMES = ("phase", "sequence")
 SOURCES = ("complex", "magnitude")
-
-_LOG_2PIE = math.log(2.0 * math.pi * math.e)
 
 # Phase-to-sequence transform: columns of SEQ_H are the positive,
 # negative and zero sequence basis vectors; SEQ_H_INV maps phase
@@ -111,10 +114,6 @@ def from_sequence(values):
     return arr @ SEQ_H.T
 
 
-def _stack_complex(x):
-    return np.hstack([x.real, x.imag])
-
-
 def _sample_cov(x, ddof=1):
     """Covariance of rows of x; complex input gives the Hermitian form."""
     xc = x - x.mean(axis=0, keepdims=True)
@@ -141,61 +140,6 @@ def _checked_logdet(cov, context):
             f"[{evals[0]:.3e}, {top:.3e}]"
         )
     return float(np.sum(np.log(evals)))
-
-
-def gaussian_entropy(samples):
-    """Differential entropy of jointly Gaussian rows, nats.
-
-    samples is (N, r) real (a 1-D input is treated as one coordinate).
-    Uses the unbiased sample covariance after mean removal. Raises
-    SingularCovarianceError when the covariance has no usable
-    determinant, e.g. a duplicated coordinate.
-    """
-    x = np.asarray(samples)
-    if np.iscomplexobj(x):
-        x = _stack_complex(np.atleast_2d(x.T).T if x.ndim == 1 else x)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise InfoCoreError("samples must be a (N, r) matrix")
-    n, r = x.shape
-    if n < r + 1:
-        raise InfoCoreError(f"need at least r+1={r + 1} samples for {r} dims, got {n}")
-    ld = _checked_logdet(_sample_cov(x), f"{r} coordinates over {n} samples")
-    return 0.5 * r * _LOG_2PIE + 0.5 * ld
-
-
-def mutual_information(samples_i, samples_k):
-    """I(X;Y) in nats between two blocks of jointly Gaussian rows.
-
-    Complex blocks are stacked into (Re, Im) real coordinates first.
-    """
-    xi = np.asarray(samples_i)
-    xk = np.asarray(samples_k)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    if xk.ndim == 1:
-        xk = xk[:, None]
-    if np.iscomplexobj(xi):
-        xi = _stack_complex(xi)
-    if np.iscomplexobj(xk):
-        xk = _stack_complex(xk)
-    if xi.shape[0] != xk.shape[0]:
-        raise InfoCoreError("blocks must share the sample axis")
-    joint = np.hstack([xi, xk])
-    n, r = joint.shape
-    if n < r + 1:
-        raise InfoCoreError(f"need at least r+1={r + 1} samples for {r} dims, got {n}")
-    sd = joint.std(axis=0, ddof=1)
-    if np.any(sd <= 0.0):
-        raise SingularCovarianceError("zero-variance coordinate in mutual information input")
-    joint = (joint - joint.mean(axis=0)) / sd
-    C = _sample_cov(joint)
-    di = xi.shape[1]
-    ld_i = _checked_logdet(C[:di, :di], "left block")
-    ld_k = _checked_logdet(C[di:, di:], "right block")
-    ld_j = _checked_logdet(C, "joint block")
-    return 0.5 * (ld_i + ld_k - ld_j)
 
 
 # ---------------------------------------------------------------------
@@ -233,23 +177,20 @@ def _congruence(C, blocks):
     return C
 
 
-def _feature_cov(panel, bus_ids, frame, source):
-    """Sample covariance of the features of bus_ids.
+def _gather_cov(panel, bus_ids, source):
+    """Sample covariance of the claimed channels of bus_ids.
 
-    Returns (cov, slices). cov is real, or complex Hermitian for
-    magnitudes in the sequence frame; slices maps each bus to its
-    feature positions, buses in the given order.
+    The gather layout lists the buses in ascending order, each as the
+    Re parts of its claimed slots then their Im parts (complex source)
+    or as one magnitude per claimed slot.
     """
-    if source == "complex" and panel.magnitude_only:
-        raise InfoCoreError("complex source unavailable from a magnitude-only panel")
     masks = np.zeros_like(panel.masks)
     masks[bus_ids] = panel.masks[bus_ids]
     n = panel.n_samples
     rows = np.ascontiguousarray(panel.values).reshape(n, -1)
     parts = rows.view(np.float64)
     if source == "complex":
-        # column of (bus, part, slot) in the (Re, Im) view, taken bus by
-        # bus: the Re parts of the claimed slots, then the Im parts
+        # column of (bus, part, slot) in the (Re, Im) view
         grid = np.arange(parts.shape[1]).reshape(-1, 3, 2).transpose(0, 2, 1)
         X = np.take(parts, grid[np.broadcast_to(masks[:, None, :], grid.shape)], axis=1)
     elif panel.magnitude_only:
@@ -257,9 +198,18 @@ def _feature_cov(panel, bus_ids, frame, source):
     else:
         X = np.abs(np.take(rows, np.flatnonzero(masks), axis=1))
     X -= X.mean(axis=0)
-    cov = X.T @ X / (n - 1)
+    return X.T @ X / (n - 1)
+
+
+def _frame_cov(cov, bus_ids, present, frame, source):
+    """Map a gather-layout covariance into the frame's features.
+
+    present is the (len(bus_ids), 3) claimed-slot mask of the buses.
+    Returns (cov, slices). cov is real, or complex Hermitian for
+    magnitudes in the sequence frame; slices maps each bus to its
+    feature positions, buses in the given order.
+    """
     width = 2 if source == "complex" else 1
-    present = masks[bus_ids]
     widths = width * present.sum(axis=1)
     starts = np.cumsum(widths) - widths
     slices = {b: list(range(lo, lo + w))
@@ -281,9 +231,24 @@ def _feature_cov(panel, bus_ids, frame, source):
     return _congruence(cov, blocks), slices
 
 
+def _feature_cov(panel, bus_ids, frame, source):
+    """Sample covariance of the features of bus_ids, as (cov, slices)."""
+    if source == "complex" and panel.magnitude_only:
+        raise InfoCoreError("complex source unavailable from a magnitude-only panel")
+    return _frame_cov(_gather_cov(panel, bus_ids, source), bus_ids,
+                      panel.masks[bus_ids], frame, source)
+
+
 # below this eigenvalue ratio the substation block is treated as
 # numerically rank-deficient rather than merely ill-conditioned
 _SUBSTATION_RANK_RTOL = 1e-6
+
+
+def _corr_normalize(C):
+    d = np.sqrt(np.real(np.diag(C)))
+    if np.any(d <= 0.0):
+        raise SingularCovarianceError("non-positive variance on the covariance diagonal")
+    return C / np.outer(d, d)
 
 
 def _slack_has_signal(panel, frame, source):
@@ -314,7 +279,8 @@ class PanelStatistics:
     into a (T, D) block and a single product of the centred block with
     itself; the frame and (Re, Im) layout are then applied block-wise
     to the D×D matrix and the features are standardized by a diagonal
-    rescale (population variances, so the diagonal reads n/(n-1)).
+    rescale (population variances, so the diagonal reads n/(n-1), or 1
+    at infinite data).
     Every mutual-information query then reduces to gathering a
     submatrix and taking its log-determinant, which keeps the all-pairs
     matrix cheap: the determinants are batched per joint dimension.
@@ -325,6 +291,10 @@ class PanelStatistics:
 
     ridge >= 0 is added to the standardized diagonal; it is a
     last-resort retry for singular sample covariances.
+
+    from_analytic builds the same statistics from an exact increment
+    covariance instead of a panel: infinite data, same code after the
+    gather.
     """
 
     def __init__(self, panel, frame="phase", source="complex", ridge=0.0):
@@ -333,26 +303,55 @@ class PanelStatistics:
             raise InfoCoreError(f"ridge must be a finite non-negative number, got {ridge!r}")
         if panel.kind != "increment":
             raise InfoCoreError("statistics expect an increment panel; difference first")
-        self.frame = frame
-        self.source = source
-        self.panel = panel
-        self.hermitian = frame == "sequence" and source == "magnitude"
         first = 0 if _slack_has_signal(panel, frame, source) else 1
         bus_ids = list(range(first, panel.n_buses))
-        cov, self.slices = _feature_cov(panel, bus_ids, frame, source)
-        self.n_samples = n = panel.n_samples
-        self.dim = cov.shape[0]
-        sd = np.sqrt(cov.diagonal().real * ((n - 1) / n))
+        cov, slices = _feature_cov(panel, bus_ids, frame, source)
+        self._standardize(cov, slices, bus_ids, frame, source, panel.n_samples, ridge)
+
+    @classmethod
+    def from_analytic(cls, acov, frame="phase"):
+        """Exact statistics of the complex source from an AnalyticCovariance.
+
+        acov.real is permuted into the gather layout (each bus's Re
+        slots, then its Im slots) and then takes the panel path's frame
+        step and standardisation. n_samples is infinite. The analytic
+        coordinates have no substation, so substation_mi() is None.
+        """
+        _validate_frame_source(frame, "complex")
+        by_bus = {}
+        for j in sorted(range(acov.dim), key=acov.coords.__getitem__):
+            by_bus.setdefault(acov.coords[j][0], []).append(j)
+        bus_ids = list(by_bus)
+        present = np.zeros((len(bus_ids), 3), dtype=bool)
+        for row, js in zip(present, by_bus.values()):
+            row[[acov.coords[j][1] for j in js]] = True
+        order = [k for js in by_bus.values() for k in js + [j + acov.dim for j in js]]
+        cov, slices = _frame_cov(np.asarray(acov.real, dtype=float)[np.ix_(order, order)],
+                                 bus_ids, present, frame, "complex")
+        stats = cls.__new__(cls)
+        stats._standardize(cov, slices, bus_ids, frame, "complex", math.inf, 0.0)
+        return stats
+
+    def _standardize(self, cov, slices, bus_ids, frame, source, n, ridge):
+        """Rescale cov to unit population variances and keep it."""
+        factor = 1.0 if math.isinf(n) else (n - 1) / n
+        sd = np.sqrt(cov.diagonal().real * factor)
         dead = set(np.flatnonzero(sd <= 0.0).tolist())
         if dead:
-            owners = sorted(b for b in bus_ids if dead.intersection(self.slices[b]))
+            owners = sorted(b for b in bus_ids if dead.intersection(slices[b]))
             raise SingularCovarianceError(
                 f"zero-variance channels at buses {owners}"
             )
         cov /= np.outer(sd, sd)
         if ridge > 0.0:
-            cov[np.diag_indices(self.dim)] += ridge
+            cov[np.diag_indices(cov.shape[0])] += ridge
+        self.frame = frame
+        self.source = source
+        self.hermitian = frame == "sequence" and source == "magnitude"
+        self.n_samples = n
+        self.dim = cov.shape[0]
         self.cov = cov
+        self.slices = slices
         self.bus_ids = bus_ids
         self._marginal = {}
         self._mi = None
@@ -639,114 +638,3 @@ def mi_breakdown(panel, bus_i, bus_k):
         ld(idx_mi + idx_ti + idx_mk) + ld(idx_tk + idx_mk) - ld(idx_mk) - ld(list(range(X.shape[1])))
     ) if idx_tk else 0.0
     return float(term_a), float(term_b), float(term_c)
-
-
-# ---------------------------------------------------------------------
-# Covariance-based oracles
-# ---------------------------------------------------------------------
-
-
-def _corr_normalize(C):
-    d = np.sqrt(np.real(np.diag(C)))
-    if np.any(d <= 0.0):
-        raise SingularCovarianceError("non-positive variance on the covariance diagonal")
-    return C / np.outer(d, d)
-
-
-def entropy_from_cov(C, idx=None):
-    """Gaussian differential entropy of selected real coordinates."""
-    C = np.asarray(C)
-    if idx is not None:
-        C = C[np.ix_(idx, idx)]
-    r = C.shape[0]
-    ld = _checked_logdet(C, f"{r} coordinates")
-    return 0.5 * r * _LOG_2PIE + 0.5 * ld
-
-
-def mi_from_cov(C, idx_a, idx_b):
-    """I(A;B) from an exact real covariance; coordinate index lists."""
-    Cn = _corr_normalize(np.asarray(C))
-    ia, ib = list(idx_a), list(idx_b)
-    ld_a = _checked_logdet(Cn[np.ix_(ia, ia)], "block A")
-    ld_b = _checked_logdet(Cn[np.ix_(ib, ib)], "block B")
-    ld_j = _checked_logdet(Cn[np.ix_(ia + ib, ia + ib)], "joint block")
-    return 0.5 * (ld_a + ld_b - ld_j)
-
-
-def conditional_mi_from_cov(C, idx_a, idx_b, idx_cond):
-    """I(A;B | Z) from an exact real covariance via Schur determinants."""
-    ia, ib, iz = list(idx_a), list(idx_b), list(idx_cond)
-    if not iz:
-        return mi_from_cov(C, ia, ib)
-    Cn = _corr_normalize(np.asarray(C))
-
-    def ld(idx, what):
-        return _checked_logdet(Cn[np.ix_(idx, idx)], what)
-
-    return 0.5 * (
-        ld(ia + iz, "A,Z") + ld(ib + iz, "B,Z") - ld(iz, "Z") - ld(ia + ib + iz, "A,B,Z")
-    )
-
-
-def sequence_real_cov(acov, panel_masks):
-    """Rotate an analytic covariance into the sequence frame.
-
-    acov is an AnalyticCovariance over (bus, slot) coordinates; the
-    output covers per-bus retained sequence components (as many as the
-    bus has phases) in the same coordinate layout, so the same position
-    helpers apply.
-    """
-    D = acov.dim
-    by_bus = {}
-    for j, (b, s) in enumerate(acov.coords):
-        by_bus.setdefault(b, []).append((j, s))
-    groups = {}
-    for entries in by_bus.values():
-        pos = [j for j, _ in entries]
-        groups.setdefault(tuple(s for _, s in entries), []).append(pos + [j + D for j in pos])
-    blocks = [(np.asarray(pos, dtype=np.intp), _real_stack(_sequence_rows(slots)))
-              for slots, pos in groups.items()]
-    return _congruence(np.array(acov.real, dtype=float), blocks)
-
-
-def analytic_mi_matrix(acov, frame="phase"):
-    """Exact pairwise MI from the analytic increment covariance."""
-    if frame not in FRAMES:
-        raise InfoCoreError(f"frame must be one of {FRAMES}, got {frame!r}")
-    C = acov.real
-    if frame == "sequence":
-        # masks are implicit in the coordinate list
-        C = sequence_real_cov(acov, None)
-    buses = sorted({b for b, _ in acov.coords})
-    pos = {}
-    for b in buses:
-        pos[b] = acov.real_positions(b)
-    M = len(buses)
-    values = np.zeros((M, M))
-    Cn = _corr_normalize(C)
-    where = {b: i for i, b in enumerate(buses)}
-    ld_cache = {b: _checked_logdet(Cn[np.ix_(pos[b], pos[b])], f"bus {b}") for b in buses}
-    for i in range(M):
-        for k in range(i + 1, M):
-            bi, bk = buses[i], buses[k]
-            idx = pos[bi] + pos[bk]
-            ld_j = _checked_logdet(Cn[np.ix_(idx, idx)], f"buses {bi},{bk}")
-            mi = 0.5 * (ld_cache[bi] + ld_cache[bk] - ld_j)
-            values[where[bi], where[bk]] = mi
-            values[where[bk], where[bi]] = mi
-    return MIMatrix(bus_ids=tuple(buses), values=values, frame=frame, source="complex")
-
-
-def analytic_conditional_mi(acov, bus_i, bus_k, given):
-    """Exact I(dV_i; dV_k | dV_given) from the analytic covariance."""
-    ia = acov.real_positions(bus_i)
-    ib = acov.real_positions(bus_k)
-    iz = [j for b in given for j in acov.real_positions(b)]
-    return conditional_mi_from_cov(acov.real, ia, ib, iz)
-
-
-def analytic_group_mi(acov, buses_a, buses_b):
-    """Exact I(block A; block B) for unions of buses."""
-    ia = [j for b in buses_a for j in acov.real_positions(b)]
-    ib = [j for b in buses_b for j in acov.real_positions(b)]
-    return mi_from_cov(acov.real, ia, ib)

@@ -1,9 +1,14 @@
-"""Topology recovery from a mutual information matrix.
+"""Topology recovery from mutual information statistics.
 
 The estimator is Kruskal's maximum-weight spanning tree over pairwise
 MI, with deterministic lexicographic tie-breaking, an explicit root
 attachment step (the substation is not part of the pairwise matrix),
 and an optional single-chord search for weakly meshed feeders.
+
+recover(stats, ...) is the one pipeline: tree or mesh search, then
+rooting, on a PanelStatistics built either from a panel or from the
+exact covariance (PanelStatistics.from_analytic). estimate_topology,
+the CLI and the evaluation harness all run through it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_model import TOPOLOGY_COLUMNS
-from .info_core import MIMatrix
+from .info_core import MIMatrix, PanelStatistics, difference
 
 
 class TopologyEstimateError(Exception):
@@ -365,6 +370,40 @@ def weak_mesh_search(mi, joint_mi_provider, max_chords=1, gain_tol=0.01):
     return EdgeSetEstimate(bus_ids=tuple(buses), edges=edges, weights=weights,
                            chords=(tuple(sorted((m, weak))),),
                            frame=mi.frame, source=mi.source)
+
+
+def recover(stats, mesh=False, max_chords=1, gain_tol=0.01, declared_root=None):
+    """Rooted estimate from one PanelStatistics.
+
+    Runs the spanning tree over stats.mi_matrix() (or, with mesh, the
+    single-chord search scored by stats.group_mi), then attaches the
+    root by the substation test on the same statistics, falling back
+    to declared_root.
+    """
+    mi = stats.mi_matrix()
+    if mesh:
+        provider = lambda m, pair: stats.group_mi([m], list(pair))
+        estimate = weak_mesh_search(mi, provider, max_chords=max_chords,
+                                    gain_tol=gain_tol)
+    else:
+        estimate = max_weight_spanning_tree(mi)
+    return attach_root(estimate, substation_mi=stats.substation_mi(),
+                       declared_root=declared_root)
+
+
+def estimate_topology(volt_panel, frame="phase", source="complex", mesh=False,
+                      max_chords=1, gain_tol=0.01, ridge=0.0, declared_root=None):
+    """Full recovery pipeline from a voltage panel.
+
+    Returns (EdgeSetEstimate, PanelStatistics). The magnitude source
+    works on the moduli of the complex increments; a panel that only
+    ever stored magnitudes falls back to increments of those readings.
+    The substation test reads the same statistics, so a request builds
+    one covariance.
+    """
+    stats = PanelStatistics(difference(volt_panel), frame=frame, source=source, ridge=ridge)
+    return recover(stats, mesh=mesh, max_chords=max_chords, gain_tol=gain_tol,
+                   declared_root=declared_root), stats
 
 
 # ---------------------------------------------------------------------

@@ -23,13 +23,7 @@ from gridtopo.eval_harness import (
     sweep,
 )
 from gridtopo.feeders import make_feeder
-from gridtopo.info_core import (
-    MIMatrix,
-    analytic_conditional_mi,
-    analytic_mi_matrix,
-    difference,
-    mi_matrix,
-)
+from gridtopo.info_core import MIMatrix, PanelStatistics, difference, mi_matrix
 from gridtopo.phase_id import edge_correlation_margins
 from gridtopo.synth_lab import corrupt_labels, integrate_voltages
 from gridtopo.topo_est import (
@@ -228,7 +222,7 @@ def test_criterion_05_brute_force_optimality(bus8_analytic,
     checked = 0
     mismatches = []
     for name, acov in feeders:
-        mi = analytic_mi_matrix(acov)
+        mi = PanelStatistics.from_analytic(acov).mi_matrix()
         if mi.n > 7:
             continue
         kruskal = frozenset(max_weight_spanning_tree(mi).edges)
@@ -283,6 +277,7 @@ def test_criterion_06_conditional_independence(bus8, bus8_analytic,
     pairs = 0
     worst = 0.0
     for topo, acov in feeders:
+        stats = PanelStatistics.from_analytic(acov)
         nonslack = sorted(topo.non_slack_ids)
         for i in nonslack:
             pa, cond = _blanket(topo, i)
@@ -290,7 +285,9 @@ def test_criterion_06_conditional_independence(bus8, bus8_analytic,
             for k in nonslack:
                 if k in excluded:
                     continue
-                val = analytic_conditional_mi(acov, i, k, given=sorted(cond))
+                # chain rule: I(i; k | Z) = I(i; k, Z) - I(i; Z)
+                given = sorted(cond)
+                val = stats.group_mi([i], [k] + given) - stats.group_mi([i], given)
                 pairs += 1
                 worst = max(worst, val)
     ok = pairs > 0 and worst < 1e-8
@@ -310,7 +307,7 @@ def test_criterion_07_edge_dominance(bus8, bus8_analytic,
     triples = 0
     violations = []
     for topo, acov in feeders:
-        mi = analytic_mi_matrix(acov)
+        mi = PanelStatistics.from_analytic(acov).mi_matrix()
         for c in sorted(topo.non_slack_ids):
             pa = topo.parent_of(c)
             if pa == 0:
@@ -341,8 +338,8 @@ def test_criterion_08_frame_invariance(noiseless_campaign, bus8_analytic,
     acovs = [bus8_analytic] + [a for _, _, a in small_random_feeders]
     worst = 0.0
     for acov in acovs:
-        ph = analytic_mi_matrix(acov, frame="phase")
-        sq = analytic_mi_matrix(acov, frame="sequence")
+        ph = PanelStatistics.from_analytic(acov, "phase").mi_matrix()
+        sq = PanelStatistics.from_analytic(acov, "sequence").mi_matrix()
         assert ph.bus_ids == sq.bus_ids
         worst = max(worst, float(np.abs(ph.values - sq.values).max()))
     bad = []

@@ -256,6 +256,20 @@ def test_sweep_rejects_a_bad_axis_value(tmp_path, capsys):
     assert "resolution_stride" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, value", [
+    ("data_length", "inf"),
+    ("data_length", "150.7"),
+    ("resolution", "0.5"),
+])
+def test_sweep_rejects_a_fractional_integer_axis_value(tmp_path, capsys, axis, value):
+    rc = main(["sweep", "--feeder", "bus8", "--samples", "200", "--replicates", "1",
+               "--axis", axis, "--values", f"200,{value}", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and axis in err and value in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_writes_axis_files(tmp_path, capsys):
     out = str(tmp_path / "run")
     rc = main(["sweep", "--feeder", "bus8", "--samples", "300",

@@ -231,6 +231,13 @@ def test_sweep_rejects_unknown_axis():
         sweep(ScenarioConfig(), "voltage_level", [1], replicates=1)
 
 
+def test_sweep_accepts_whole_floats_on_integer_axes():
+    cfg = ScenarioConfig(feeder="bus8", n_samples=200, phases=False)
+    report, = sweep(cfg, "data_length", [150.0], replicates=1)
+    assert type(report.scenario["n_samples"]) is int and report.scenario["n_samples"] == 150
+    assert report.value == 150.0
+
+
 def test_sweep_csv(tmp_path):
     cfg = ScenarioConfig(feeder="bus8", n_samples=200)
     reports = sweep(cfg, "noise", [0.0, 0.001], replicates=2, base_seed=0)

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 
 import numpy as np
@@ -12,17 +13,10 @@ from gridtopo.info_core import (
     MIMatrix,
     PanelStatistics,
     SingularCovarianceError,
-    analytic_conditional_mi,
-    analytic_mi_matrix,
-    conditional_mi_from_cov,
-    entropy_from_cov,
+    difference,
     from_sequence,
-    gaussian_entropy,
     mi_breakdown,
-    mi_from_cov,
     mi_matrix,
-    mutual_information,
-    sequence_real_cov,
     _feature_cov,
     substation_mi,
     to_sequence,
@@ -31,93 +25,95 @@ from gridtopo.synth_lab import (
     AnalyticCovariance,
     InjectionSpec,
     NoiseSpec,
+    VoltagePanel,
     apply_noise,
     corrupt_labels,
     generate_increments,
+    identity_labels,
     integrate_voltages,
     to_magnitude,
 )
-from gridtopo.eval_harness import difference
-
-LOG_2PIE_HALF = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
-# -- closed-form entropy and MI ------------------------------------------
+def _exact(real, coords, frame="phase"):
+    """Statistics of a hand-built exact covariance over (bus, slot) coords."""
+    acov = AnalyticCovariance(real=np.asarray(real, dtype=float), coords=coords)
+    return PanelStatistics.from_analytic(acov, frame)
 
 
-def test_entropy_of_unit_scalar():
-    assert entropy_from_cov(np.eye(1)) == pytest.approx(1.4189385332046727, abs=1e-12)
+def _conditional_mi(stats, a, b, given):
+    """I(A; B | Z) by the chain rule I(A; B, Z) - I(A; Z)."""
+    return stats.group_mi(a, list(b) + list(given)) - stats.group_mi(a, given)
 
 
-def test_entropy_of_identity_3d():
-    assert entropy_from_cov(np.eye(3)) == pytest.approx(3 * LOG_2PIE_HALF, abs=1e-12)
-    assert entropy_from_cov(np.eye(3)) == pytest.approx(4.256815599614018, abs=1e-12)
+# -- closed-form MI through the kernel -----------------------------------
 
 
-def test_entropy_scales_with_log_variance():
-    s2 = 2.5
-    want = LOG_2PIE_HALF + 0.5 * math.log(s2)
-    assert entropy_from_cov(np.array([[s2]])) == pytest.approx(want, abs=1e-12)
+def test_exact_mi_half_correlation():
+    # Re parts correlated at 0.5, Im parts independent of everything
+    real = np.eye(4)
+    real[0, 1] = real[1, 0] = 0.5
+    stats = _exact(real, [(1, 0), (2, 0)])
+    assert stats.pair_mi(1, 2) == pytest.approx(0.14384103622589045, abs=1e-12)
 
 
-def test_entropy_rejects_singular():
-    C = np.ones((2, 2))
-    with pytest.raises(SingularCovarianceError):
-        entropy_from_cov(C)
+def test_exact_mi_zero_when_independent():
+    stats = _exact(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), [(1, 0), (2, 0), (3, 0)])
+    assert stats.group_mi([1], [2, 3]) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_mi_from_cov_half_correlation():
-    C = np.array([[1.0, 0.5], [0.5, 1.0]])
-    assert mi_from_cov(C, [0], [1]) == pytest.approx(0.14384103622589045, abs=1e-12)
-
-
-def test_mi_from_cov_zero_when_independent():
-    C = np.diag([1.0, 2.0, 3.0])
-    assert mi_from_cov(C, [0], [1, 2]) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_conditional_mi_markov_chain_is_zero():
-    # x -> y -> z with unit innovations
+def test_exact_conditional_mi_markov_chain_is_zero():
+    # x -> y -> z with unit innovations, in the Re and the Im parts alike
     C = np.array([[1.0, 1.0, 1.0],
                   [1.0, 2.0, 2.0],
                   [1.0, 2.0, 3.0]])
-    assert conditional_mi_from_cov(C, [0], [2], [1]) == pytest.approx(0.0, abs=1e-12)
-    assert mi_from_cov(C, [0], [2]) > 0.1
+    real = np.block([[C, np.zeros((3, 3))], [np.zeros((3, 3)), C]])
+    stats = _exact(real, [(1, 0), (2, 0), (3, 0)])
+    assert _conditional_mi(stats, [1], [3], [2]) == pytest.approx(0.0, abs=1e-12)
+    assert stats.pair_mi(1, 3) > 0.1
 
 
-def test_sample_entropy_tracks_formula(rng):
-    x = rng.standard_normal(200_000)
-    assert gaussian_entropy(x) == pytest.approx(LOG_2PIE_HALF, abs=0.01)
-
-
-def test_sample_entropy_rejects_duplicate_coordinate(rng):
-    x = rng.standard_normal(500)
+def test_exact_statistics_reject_singular_bus():
+    stats = _exact(np.ones((2, 2)), [(1, 0)])
     with pytest.raises(SingularCovarianceError):
-        gaussian_entropy(np.column_stack([x, x]))
+        stats.marginal_logdet(1)
+
+
+# -- sample MI through the kernel ----------------------------------------
+
+
+def _two_bus_panel(x, y):
+    """Increment panel: constant substation, bus 1 holds x, bus 2 holds y."""
+    T = x.shape[0]
+    values = np.zeros((T, 3, 3), dtype=complex)
+    values[:, 1, :x.shape[1]] = x
+    values[:, 2, :y.shape[1]] = y
+    masks = np.zeros((3, 3), dtype=bool)
+    masks[0] = True
+    masks[1, :x.shape[1]] = True
+    masks[2, :y.shape[1]] = True
+    return VoltagePanel(values=values, masks=masks, labels=identity_labels(masks),
+                        kind="increment", magnitude_only=False)
+
+
+def _cnormal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_sample_mi_independent_pairs_near_zero(rng):
-    x = rng.standard_normal(10_000)
-    y = rng.standard_normal(10_000)
-    assert mutual_information(x, y) < 0.02
+    panel = _two_bus_panel(_cnormal(rng, (10_000, 1)), _cnormal(rng, (10_000, 1)))
+    assert PanelStatistics(panel).pair_mi(1, 2) < 0.02
 
 
 def test_sample_mi_invariant_to_affine_maps(rng):
-    x = rng.standard_normal((3000, 2))
-    y = 0.4 * x[:, :1] + rng.standard_normal((3000, 1))
-    base = mutual_information(x, y)
-    A = np.array([[2.0, 0.3], [0.0, -1.5]])
-    assert mutual_information(x @ A.T + 7.0, 3.0 * y - 1.0) == pytest.approx(base, abs=1e-9)
-
-
-def test_sample_mi_complex_matches_real_stack(rng):
-    z = rng.standard_normal((2000, 1)) + 1j * rng.standard_normal((2000, 1))
-    w = z * (0.5 + 0.1j) + 0.3 * (
-        rng.standard_normal((2000, 1)) + 1j * rng.standard_normal((2000, 1))
-    )
-    direct = mutual_information(z, w)
-    stacked = mutual_information(np.hstack([z.real, z.imag]), np.hstack([w.real, w.imag]))
-    assert direct == pytest.approx(stacked, abs=1e-12)
+    x = _cnormal(rng, (3000, 2))
+    y = 0.4 * x[:, :1] + _cnormal(rng, (3000, 1))
+    base = PanelStatistics(_two_bus_panel(x, y)).pair_mi(1, 2)
+    A = np.array([[2.0, 0.3j], [0.0, -1.5]])
+    moved = _two_bus_panel(x @ A.T + 7.0, (3.0 - 1.0j) * y - 1.0)
+    for frame in ("phase", "sequence"):
+        got = PanelStatistics(moved, frame=frame).pair_mi(1, 2)
+        assert got == pytest.approx(base, abs=1e-9)
 
 
 # -- sequence transform --------------------------------------------------
@@ -200,7 +196,7 @@ def test_magnitude_sequence_equals_magnitude_phase(bus8, bus8_spec):
 def test_sample_mi_matrix_tracks_analytic(bus8, bus8_spec, bus8_analytic):
     panel = _inc(bus8, bus8_spec, 8760, 4)
     est = mi_matrix(panel)
-    truth = analytic_mi_matrix(bus8_analytic)
+    truth = PanelStatistics.from_analytic(bus8_analytic).mi_matrix()
     for i, k, v in truth.pairs():
         assert est.value(i, k) == pytest.approx(v, rel=0.10, abs=5e-3)
 
@@ -347,19 +343,75 @@ def test_panel_statistics_accepts_strided_values(bus8, bus8_spec):
         assert np.array_equal(PanelStatistics(strided, frame=frame).cov, want)
 
 
-def test_sequence_real_cov_matches_dense_transform(bus8_analytic):
-    acov = bus8_analytic
+# -- exact statistics from the analytic covariance -----------------------
+#
+# The reference below is the dense construction from_analytic replaces:
+# the whole sequence transform as one (2D, 2D) matrix on the analytic
+# [Re; Im] layout, correlation scaling, and one log-determinant per pair.
+
+
+def _dense_reference(acov, frame):
+    """(correlation matrix, {bus: positions}) on the analytic layout."""
     D = acov.dim
-    B = np.zeros((2 * D, 2 * D))
-    for b in sorted({b for b, _ in acov.coords}):
-        pos = np.asarray(acov.coord_positions(b))
-        A = SEQ_H_INV[:len(pos)][:, [s for bb, s in acov.coords if bb == b]]
-        B[np.ix_(pos, pos)] = A.real
-        B[np.ix_(pos, pos + D)] = -A.imag
-        B[np.ix_(pos + D, pos)] = A.imag
-        B[np.ix_(pos + D, pos + D)] = A.real
-    want = B @ acov.real @ B.T
-    assert np.abs(sequence_real_cov(acov, None) - want).max() <= 1e-12 * np.abs(want).max()
+    B = np.eye(2 * D)
+    pos = {b: np.asarray(acov.coord_positions(b)) for b in sorted({b for b, _ in acov.coords})}
+    if frame == "sequence":
+        for b, p in pos.items():
+            A = SEQ_H_INV[:len(p)][:, [acov.coords[j][1] for j in p]]
+            B[np.ix_(p, p)] = A.real
+            B[np.ix_(p, p + D)] = -A.imag
+            B[np.ix_(p + D, p)] = A.imag
+            B[np.ix_(p + D, p + D)] = A.real
+    C = B @ acov.real @ B.T
+    d = np.sqrt(np.diag(C))
+    return C / np.outer(d, d), {b: np.concatenate([p, p + D]) for b, p in pos.items()}
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+def test_from_analytic_matches_dense_reference(bus8_analytic, small_random_feeders, frame):
+    for acov in [bus8_analytic] + [a for _, _, a in small_random_feeders]:
+        C, pos = _dense_reference(acov, frame)
+        stats = PanelStatistics.from_analytic(acov, frame)
+        assert stats.bus_ids == sorted(pos)
+        order = np.concatenate([pos[b] for b in stats.bus_ids])
+        want = C[np.ix_(order, order)]
+        assert np.abs(stats.cov - want).max() <= 1e-12
+        buses = stats.bus_ids
+        ref = np.zeros((len(buses), len(buses)))
+        ld = lambda idx: np.linalg.slogdet(C[np.ix_(idx, idx)])[1]
+        for i, k in itertools.combinations(range(len(buses)), 2):
+            pi, pk = pos[buses[i]], pos[buses[k]]
+            ref[i, k] = ref[k, i] = 0.5 * (ld(pi) + ld(pk) - ld(np.concatenate([pi, pk])))
+        got = stats.mi_matrix()
+        assert got.bus_ids == tuple(buses) and got.frame == frame
+        assert np.abs(got.values - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_from_analytic_is_infinite_data(bus8_analytic):
+    stats = PanelStatistics.from_analytic(bus8_analytic, "sequence")
+    assert stats.n_samples == math.inf and stats.source == "complex"
+    assert np.all(np.isfinite(stats.cov))
+    assert np.abs(stats.cov.diagonal() - 1.0).max() <= 1e-12
+    assert stats.substation_mi() is None
+    stats.require_samples(10 ** 9)
+
+
+def test_from_analytic_orders_coordinates_by_bus_and_slot(bus8_analytic):
+    acov = bus8_analytic
+    perm = np.random.default_rng(3).permutation(acov.dim)
+    full = np.concatenate([perm, perm + acov.dim])
+    shuffled = AnalyticCovariance(real=acov.real[np.ix_(full, full)],
+                                  coords=[acov.coords[j] for j in perm])
+    for frame in ("phase", "sequence"):
+        want = PanelStatistics.from_analytic(acov, frame)
+        got = PanelStatistics.from_analytic(shuffled, frame)
+        assert got.slices == want.slices
+        assert np.array_equal(got.cov, want.cov)
+
+
+def test_from_analytic_rejects_unknown_frame(bus8_analytic):
+    with pytest.raises(InfoCoreError, match="frame"):
+        PanelStatistics.from_analytic(bus8_analytic, "polar")
 
 
 # -- ridge ---------------------------------------------------------------
@@ -405,7 +457,11 @@ def test_mi_breakdown_chain_rule(bus8, bus8_spec):
             t = np.diff(np.unwrap(np.angle(z), axis=0), axis=0)
             return np.hstack([m, t])
 
-        total = mutual_information(polar(x), polar(y))
+        # independent reference: Gaussian MI of the two polar blocks
+        C = np.corrcoef(np.hstack([polar(x), polar(y)]), rowvar=False)
+        d = 2 * x.shape[1]
+        ld = lambda M: np.linalg.slogdet(M)[1]
+        total = 0.5 * (ld(C[:d, :d]) + ld(C[d:, d:]) - ld(C))
         assert a + b + c == pytest.approx(total, abs=1e-9)
         assert a >= 0 and b >= -1e-12 and c >= -1e-12
 
@@ -471,33 +527,32 @@ def test_substation_points_at_copied_bus(bus8, bus8_spec, rng):
     assert max(out, key=out.get) == src
 
 
-# -- analytic helpers ----------------------------------------------------
+# -- exact MI on feeders -------------------------------------------------
 
 
-def test_analytic_mi_matrix_hand_built_pair():
+def test_exact_mi_matrix_hand_built_pair():
     rho = 0.6
     herm = np.array([[1.0, rho], [rho, 1.0]])
     real = 0.5 * np.block([[herm, np.zeros((2, 2))], [np.zeros((2, 2)), herm]])
-    acov = AnalyticCovariance(real=real, coords=[(1, 0), (2, 0)])
-    est = analytic_mi_matrix(acov)
+    est = _exact(real, [(1, 0), (2, 0)]).mi_matrix()
     want = -math.log(1.0 - rho * rho)
     assert est.value(1, 2) == pytest.approx(want, abs=1e-12)
 
 
-def test_analytic_frame_invariance(bus8_analytic):
-    a = analytic_mi_matrix(bus8_analytic, frame="phase")
-    b = analytic_mi_matrix(bus8_analytic, frame="sequence")
+def test_exact_frame_invariance(bus8_analytic):
+    a = PanelStatistics.from_analytic(bus8_analytic, "phase").mi_matrix()
+    b = PanelStatistics.from_analytic(bus8_analytic, "sequence").mi_matrix()
     assert np.abs(a.values - b.values).max() < 1e-9
 
 
-def test_analytic_conditional_mi_nonnegative(bus8, bus8_analytic):
-    val = analytic_conditional_mi(bus8_analytic, 4, 2, given=[1])
+def test_exact_conditional_mi_nonnegative(bus8, bus8_analytic):
+    val = _conditional_mi(PanelStatistics.from_analytic(bus8_analytic), [4], [2], [1])
     assert val >= -1e-12
 
 
-def test_analytic_matches_small_random_feeders(small_random_feeders):
+def test_exact_mi_on_small_random_feeders(small_random_feeders):
     for topo, spec, acov in small_random_feeders[:3]:
-        est = analytic_mi_matrix(acov)
+        est = PanelStatistics.from_analytic(acov).mi_matrix()
         assert est.bus_ids == tuple(sorted(topo.non_slack_ids))
         assert all(np.isfinite(v) and v >= 0 for _, _, v in est.pairs())
 

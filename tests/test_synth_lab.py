@@ -27,7 +27,7 @@ from gridtopo.synth_lab import (
     panel_to_csv,
     to_magnitude,
 )
-from gridtopo.eval_harness import difference
+from gridtopo.info_core import difference
 
 
 # -- injection statistics ------------------------------------------------

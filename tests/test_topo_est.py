@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from gridtopo.feeders import make_feeder
-from gridtopo.info_core import (
-    MIMatrix,
-    PanelStatistics,
-    analytic_group_mi,
-    analytic_mi_matrix,
-)
+from gridtopo.info_core import MIMatrix, PanelStatistics
 from gridtopo.synth_lab import InjectionSpec, analytic_cov, generate_increments
 from gridtopo.topo_est import (
     EdgeSetEstimate,
@@ -21,6 +16,7 @@ from gridtopo.topo_est import (
     max_weight_spanning_tree,
     mesh_candidates,
     random_spanning_tree,
+    recover,
     tree_weight,
     weak_mesh_search,
 )
@@ -59,14 +55,18 @@ def test_tie_on_weight_prefers_lower_pair():
     assert set(tree.edges) == {(3, 5), (3, 9)}
 
 
+def _exact_mi(acov):
+    return PanelStatistics.from_analytic(acov).mi_matrix()
+
+
 def test_mst_matches_known_feeder_analytically(bus8, bus8_analytic):
-    tree = max_weight_spanning_tree(analytic_mi_matrix(bus8_analytic))
+    tree = max_weight_spanning_tree(_exact_mi(bus8_analytic))
     assert set(tree.edges) == {(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)}
     assert set(tree.edges) == set(bus8.edge_set(include_root=False))
 
 
 def test_mst_beats_random_trees(bus8_analytic, rng):
-    mi = analytic_mi_matrix(bus8_analytic)
+    mi = _exact_mi(bus8_analytic)
     tree = max_weight_spanning_tree(mi)
     best = tree.total_weight()
     for _ in range(1000):
@@ -195,9 +195,9 @@ def _mesh_fixture():
     topo = make_feeder("bus15_mesh")
     spec = InjectionSpec.random(topo, seed=0)
     acov = analytic_cov(topo, spec)
-    mi = analytic_mi_matrix(acov)
-    provider = lambda m, pq: analytic_group_mi(acov, [m], list(pq))
-    return topo, acov, mi, provider
+    stats = PanelStatistics.from_analytic(acov)
+    provider = lambda m, pq: stats.group_mi([m], list(pq))
+    return topo, acov, stats.mi_matrix(), provider
 
 
 def test_mesh_search_recovers_planted_chord():
@@ -209,8 +209,9 @@ def test_mesh_search_recovers_planted_chord():
 
 
 def test_mesh_search_leaves_tree_data_alone(bus8_analytic):
-    mi = analytic_mi_matrix(bus8_analytic)
-    provider = lambda m, pq: analytic_group_mi(bus8_analytic, [m], list(pq))
+    stats = PanelStatistics.from_analytic(bus8_analytic)
+    mi = stats.mi_matrix()
+    provider = lambda m, pq: stats.group_mi([m], list(pq))
     est = weak_mesh_search(mi, provider)
     assert est.chords == ()
     assert set(est.edges) == set(max_weight_spanning_tree(mi).edges)
@@ -263,6 +264,55 @@ def test_mesh_search_on_sampled_data(bus8, bus8_spec):
     assert set(est.edges) == set(bus8.edge_set(include_root=False))
 
 
+# -- the recover pipeline at infinite data -------------------------------
+
+
+@pytest.fixture(scope="module")
+def exact_feeders():
+    """{name: (topology, AnalyticCovariance)} under injection seed 0."""
+    out = {}
+    for name in ("bus8", "bus13", "bus33", "bus123", "bus15_mesh"):
+        topo = make_feeder(name)
+        out[name] = topo, analytic_cov(topo, InjectionSpec.random(topo, seed=0))
+    return out
+
+
+def _recover_exact(exact_feeders, name, frame, mesh):
+    topo, acov = exact_feeders[name]
+    head = min(topo.children_of(0))
+    est = recover(PanelStatistics.from_analytic(acov, frame), mesh=mesh, declared_root=head)
+    assert est.root_edge == (0, head)
+    return topo, est
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+@pytest.mark.parametrize("name", ["bus8", "bus13", "bus33", "bus123"])
+def test_recover_exact_statistics_gives_the_true_tree(exact_feeders, name, frame):
+    topo, est = _recover_exact(exact_feeders, name, frame, mesh=False)
+    assert set(est.edges) == set(topo.edge_set(include_root=False))
+    assert est.chords == ()
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+def test_recover_exact_statistics_finds_the_planted_chord(exact_feeders, frame):
+    topo, est = _recover_exact(exact_feeders, "bus15_mesh", frame, mesh=True)
+    assert est.chords == ((5, 7),)
+    got = set(est.edges) | set(est.chords)
+    assert got == set(topo.edge_set(include_root=False, include_chords=True))
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+@pytest.mark.parametrize("name", [
+    "bus8", "bus13", "bus33",
+    pytest.param("bus123", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 4: spurious chord at infinite data")),
+])
+def test_recover_exact_statistics_adds_no_chord_to_a_radial_feeder(exact_feeders, name, frame):
+    topo, est = _recover_exact(exact_feeders, name, frame, mesh=True)
+    assert est.chords == ()
+    assert set(est.edges) == set(topo.edge_set(include_root=False))
+
+
 # -- CSV interchange -----------------------------------------------------
 
 
@@ -283,7 +333,7 @@ def test_estimate_csv_round_trip(tmp_path):
 
 
 def test_estimate_csv_tree_round_trip(tmp_path, bus8_analytic):
-    est = attach_root(max_weight_spanning_tree(analytic_mi_matrix(bus8_analytic)),
+    est = attach_root(max_weight_spanning_tree(_exact_mi(bus8_analytic)),
                       substation_mi={1: 1.5, 2: 0.5, 3: 0.5, 4: 0.2, 5: 0.2, 6: 0.1, 7: 0.1})
     path = tmp_path / "tree.csv"
     est.to_csv(path)
