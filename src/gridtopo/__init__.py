@@ -68,7 +68,6 @@ from .info_core import (
 from .topo_est import (
     EdgeSetEstimate,
     TopologyEstimateError,
-    UnionFind,
     attach_root,
     estimate_from_csv,
     estimate_topology,

@@ -14,6 +14,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +43,9 @@ SWEEP_AXES = {
     "der_scale": "der_scale",
     "resolution": "resolution_stride",
 }
+
+# ScenarioConfig fields that count something and must be integers
+_INTEGER_FIELDS = ("n_samples", "resolution_stride")
 
 
 def _norm_edges(edges):
@@ -106,6 +110,10 @@ class ScenarioConfig:
     z_base_ohm: float = 10.0
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise EvalError(f"{name} must be an integer, got {value!r}")
         checks = (
             ("n_samples", self.n_samples >= 2, "at least 2"),
             ("noise_bound", 0.0 <= self.noise_bound < 0.5, "in [0, 0.5)"),
@@ -323,7 +331,7 @@ def sweep(config, axis, values, replicates, base_seed=0, threads=1):
     if axis not in SWEEP_AXES:
         raise EvalError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     fieldname = SWEEP_AXES[axis]
-    cast = type(getattr(config, fieldname))
+    cast = int if fieldname in _INTEGER_FIELDS else float
     for v in values:
         if cast is int and not float(v).is_integer():
             raise EvalError(f"{axis} values must be whole numbers, got {v!r}")

@@ -403,34 +403,34 @@ class PanelStatistics:
     def _all_pairs_mi(self):
         buses = [b for b in self.bus_ids if b != 0]
         M = len(buses)
-        dmax = 0
-        if M >= 2:
-            dims_sorted = sorted((len(self.slices[b]) for b in buses), reverse=True)
-            dmax = dims_sorted[0] + dims_sorted[1]
-        self.require_samples(dmax)
+        dims = np.array([len(self.slices[b]) for b in buses], dtype=np.intp)
+        self.require_samples(int(np.sort(dims)[-2:].sum()) if M >= 2 else 0)
+        # row r holds bus r's feature positions, padded to the widest bus
+        table = np.zeros((M, dims.max() if M else 0), dtype=np.intp)
+        for row, b in zip(table, buses):
+            row[:len(self.slices[b])] = self.slices[b]
+        marg = np.array([self.marginal_logdet(b) for b in buses])
+        ii, kk = np.triu_indices(M, 1)
+        joint = dims[ii] + dims[kk]
         values = np.zeros((M, M))
-        pos = {b: i for i, b in enumerate(buses)}
-        marg = {b: self.marginal_logdet(b) for b in buses}
-        groups = {}
-        for ii in range(M):
-            for kk in range(ii + 1, M):
-                bi, bk = buses[ii], buses[kk]
-                idx = self.slices[bi] + self.slices[bk]
-                groups.setdefault(len(idx), []).append((bi, bk, idx))
         failures = []
-        for d, entries in groups.items():
-            idx_arr = np.asarray([e[2] for e in entries], dtype=np.intp)
-            sub = self.cov[idx_arr[:, :, None], idx_arr[:, None, :]]
-            sign, ld = np.linalg.slogdet(sub)
+        # one batched determinant per joint dimension; each pair's joint
+        # block lists bus ii's features, then bus kk's
+        for d in np.unique(joint).tolist():
+            sel = np.flatnonzero(joint == d)
+            a, b = ii[sel, None], kk[sel, None]
+            j = np.arange(d)
+            first = j < dims[a]
+            idx = np.where(first, table[a, np.where(first, j, 0)],
+                           table[b, np.where(first, 0, j - dims[a])])
+            sign, ld = np.linalg.slogdet(self.cov[idx[:, :, None], idx[:, None, :]])
             sign = np.real(sign) if np.iscomplexobj(sign) else sign
-            ok = (sign > 0) & np.isfinite(ld)
-            for (bi, bk, _), good, ld_j in zip(entries, ok, np.real(ld)):
-                if not good:
-                    failures.append((bi, bk))
-                    continue
-                mi = 0.5 * (marg[bi] + marg[bk] - float(ld_j))
-                values[pos[bi], pos[bk]] = mi
-                values[pos[bk], pos[bi]] = mi
+            ld = np.real(ld)
+            bad = ~((sign > 0) & np.isfinite(ld))
+            failures += [(buses[x], buses[y]) for x, y in zip(ii[sel[bad]], kk[sel[bad]])]
+            mi = 0.5 * (marg[ii[sel]] + marg[kk[sel]] - ld)
+            values[ii[sel], kk[sel]] = mi
+            values[kk[sel], ii[sel]] = mi
         if failures:
             raise MIComputationError(sorted(failures))
         return MIMatrix(bus_ids=tuple(buses), values=values,
@@ -473,6 +473,8 @@ class MIMatrix:
         m = len(self.bus_ids)
         if self.values.shape != (m, m):
             raise InfoCoreError("values must be square over bus_ids")
+        if not np.array_equal(self.values, self.values.T, equal_nan=True):
+            raise InfoCoreError("values must be symmetric")
 
     @property
     def n(self):

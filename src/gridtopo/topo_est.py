@@ -1,9 +1,14 @@
 """Topology recovery from mutual information statistics.
 
-The estimator is Kruskal's maximum-weight spanning tree over pairwise
-MI, with deterministic lexicographic tie-breaking, an explicit root
-attachment step (the substation is not part of the pairwise matrix),
-and an optional single-chord search for weakly meshed feeders.
+Every spanning tree here is the maximum-weight tree under one strict
+total order on bus pairs: weight descending, then (min id, max id).
+Under that order the tree is unique. It is built by dense O(M^2) Prim
+over pairwise MI, followed by an explicit root attachment step (the
+substation is not part of the pairwise matrix) and an optional
+single-chord search for weakly meshed feeders. The mesh search needs
+the best tree over the buses other than a meet bus v for every v; by
+the cycle property that is T-v plus the deg(v)-1 best pairs that
+reconnect T-v's components, so no tree is rebuilt.
 
 recover(stats, ...) is the one pipeline: tree or mesh search, then
 rooting, on a PanelStatistics built either from a panel or from the
@@ -13,6 +18,7 @@ the CLI and the evaluation harness all run through it.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 from dataclasses import dataclass, field
@@ -25,33 +31,6 @@ from .info_core import MIMatrix, PanelStatistics, difference
 
 class TopologyEstimateError(Exception):
     pass
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by rank."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
 
 
 @dataclass
@@ -174,49 +153,80 @@ class EdgeSetEstimate:
 
 
 def _ranked_pairs(mi):
-    """Index pairs sorted by weight non-increasing, ties by (min id, max id).
-
-    Vectorized: the sort is the only super-linear step and Kruskal can
-    stop early, so large matrices stay fast.
-    """
+    """Index pairs in strict order: weight non-increasing, ties by (min id, max id)."""
     buses = np.asarray(mi.bus_ids)
     m = len(buses)
     ii, kk = np.triu_indices(m, 1)
     w = np.asarray(mi.values, dtype=float)[ii, kk]
-    if w.size and not np.all(np.isfinite(w)):
-        raise TopologyEstimateError("non-finite mutual information weight")
     lo = np.minimum(buses[ii], buses[kk])
     hi = np.maximum(buses[ii], buses[kk])
     order = np.lexsort((hi, lo, -w))
     return ii[order], kk[order], w[order]
 
 
+def _rank_key(pair, w):
+    """Sort key of a (min id, max id) pair of weight w in the strict order."""
+    return -w, pair
+
+
 def max_weight_spanning_tree(mi):
-    """Kruskal's algorithm over MI weights.
+    """Dense Prim over MI weights under the strict pair order.
 
     Returns an unrooted EdgeSetEstimate with M-1 edges over the matrix's
-    buses. Ties are broken lexicographically so equal-weight inputs
-    still give a deterministic tree.
+    buses, listed in the strict order (weight descending, then (min id,
+    max id)), which makes the tree unique even on equal weights. The
+    matrix is read as symmetric; any non-finite entry is refused.
     """
     buses = list(mi.bus_ids)
-    m = len(buses)
-    uf = UnionFind(m)
-    edges = []
+    w = np.asarray(mi.values, dtype=float)
+    if not np.isfinite(w).all():
+        raise TopologyEstimateError("non-finite mutual information weight")
     weights = {}
-    ii, kk, ws = _ranked_pairs(mi)
-    for i, k, w in zip(ii.tolist(), kk.tolist(), ws.tolist()):
-        if uf.union(i, k):
-            pair = tuple(sorted((buses[i], buses[k])))
-            edges.append(pair)
-            weights[pair] = w
-            if len(edges) == m - 1:
-                break
-    if len(edges) != max(m - 1, 0):
-        raise TopologyEstimateError(
-            f"only {len(edges)} usable pairs; cannot span {m} buses"
-        )
-    return EdgeSetEstimate(bus_ids=tuple(buses), edges=tuple(edges),
-                           weights=weights, frame=mi.frame, source=mi.source)
+    for s, v in _prim_links(w, buses):
+        weights[tuple(sorted((buses[s], buses[v])))] = float(w[s, v])
+    edges = tuple(sorted(weights, key=lambda e: _rank_key(e, weights[e])))
+    return EdgeSetEstimate(bus_ids=tuple(buses), edges=edges,
+                           weights={e: weights[e] for e in edges},
+                           frame=mi.frame, source=mi.source)
+
+
+def _prim_links(w, buses):
+    """(tree index, new index) pairs in the order Prim adds the vertices.
+
+    Each outside vertex keeps only its best weight into the tree (a
+    running maximum). The vertex to add is the one whose best edge ranks
+    first; ties on weight are settled by the pair key, looking up the
+    tree end among the in-tree vertices that reach that weight.
+    """
+    m = len(buses)
+    if m < 2:
+        return []
+
+    def key(a, b):
+        x, y = buses[a], buses[b]
+        return (x, y) if x < y else (y, x)
+
+    outside = np.arange(1, m)
+    best = w[0, 1:].copy()
+    in_tree = np.zeros(m, dtype=bool)
+    in_tree[0] = True
+    links = []
+    for n in range(m - 1, 0, -1):
+        top = best[:n].max()
+        picks = []
+        for j in np.flatnonzero(best[:n] == top).tolist():
+            v = int(outside[j])
+            ends = np.flatnonzero((w[v] == top) & in_tree).tolist()
+            s = min(ends, key=lambda u: key(u, v))
+            picks.append((key(s, v), j, s, v))
+        _, j, s, v = min(picks)
+        links.append((s, v))
+        in_tree[v] = True
+        # swap-remove v from the outside set, then relax through it
+        last = n - 1
+        outside[j], best[j] = outside[last], best[last]
+        np.maximum(best[:last], w[v, outside[:last]], out=best[:last])
+    return links
 
 
 def estimate_from_csv(path):
@@ -290,44 +300,92 @@ def attach_root(estimate, substation_mi=None, declared_root=None):
 
 
 def mesh_candidates(mi, tree=None):
-    """Valid (meet bus, parent pair, remainder tree) chord hypotheses.
+    """Valid chord hypotheses: (meet bus, parent pair, rest, rest weight).
 
     A single loop means one bus is fed from two sides. Because the
     maximum-weight tree drops exactly one (the weakest) loop edge, both
     feed edges of that meet bus survive in the plain tree, so parent
     pairs are drawn from each bus's tree neighbors; this also keeps the
-    candidate count linear in the bus count. Pairs that end up adjacent
-    in the remainder tree are skipped: closing a triangle scores the
-    two-hop conditional dependence every multi-phase feeder has around
-    any bus, not a physical line.
+    candidate count linear in the bus count. rest is the maximum-weight
+    tree over the other buses as {pair: weight} in strict order, and
+    rest weight is its total, summed in that order. Pairs adjacent in
+    rest are skipped: closing a triangle scores the two-hop conditional
+    dependence every multi-phase feeder has around any bus, not a
+    physical line. tree, when given, must be max_weight_spanning_tree(mi):
+    the remainder trees are derived from it. Returns (tree, candidates).
     """
     if tree is None:
         tree = max_weight_spanning_tree(mi)
     buses = list(mi.bus_ids)
     pos = {b: i for i, b in enumerate(buses)}
-    adj = {b: set() for b in buses}
+    adj = [[] for _ in buses]
     for a, b in tree.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[pos[a]].append(pos[b])
+        adj[pos[b]].append(pos[a])
+    start, size, parent = _preorder(adj)
+    ii, kk, ws = _ranked_pairs(mi)
+    tree_keys = [_rank_key(e, tree.weights[e]) for e in tree.edges]
     out = []
-    for m in buses:
-        if len(adj[m]) < 2:
+    for i, m in enumerate(buses):
+        if len(adj[i]) < 2:
             continue
-        rest = [b for b in buses if b != m]
-        keep = [pos[b] for b in rest]
-        sub = MIMatrix(bus_ids=tuple(rest),
-                       values=mi.values[np.ix_(keep, keep)],
-                       frame=mi.frame, source=mi.source)
-        rest_tree = max_weight_spanning_tree(sub)
-        radj = {}
-        for a, b in rest_tree.edges:
-            radj.setdefault(a, set()).add(b)
-            radj.setdefault(b, set()).add(a)
-        for p, q in itertools.combinations(sorted(adj[m]), 2):
-            if q in radj.get(p, ()):
-                continue
-            out.append((m, (p, q), rest_tree))
+        # label T-m's components over preorder positions: 0 for the part
+        # above m, c for the subtree of m's c-th neighbor
+        label = np.zeros(len(buses), dtype=np.intp)
+        for c, nb in enumerate(adj[i], 1):
+            if nb != parent[i]:
+                label[start[nb]:start[nb] + size[nb]] = c
+        label[start[i]] = -1
+        comp = label[start]
+        keys = [k for k in tree_keys if m not in k[1]]
+        for h in _reconnecting(comp[ii], comp[kk], len(adj[i])):
+            pair = tuple(sorted((buses[ii[h]], buses[kk[h]])))
+            bisect.insort(keys, _rank_key(pair, float(ws[h])))
+        rest = {e: -neg_w for neg_w, e in keys}
+        rest_weight = float(sum(rest.values()))
+        for p, q in itertools.combinations(sorted(buses[nb] for nb in adj[i]), 2):
+            if (p, q) not in rest:
+                out.append((m, (p, q), rest, rest_weight))
     return tree, out
+
+
+def _preorder(adj):
+    """Depth-first preorder position, subtree size and parent of each vertex, from vertex 0."""
+    n = len(adj)
+    parent = [-1] * n
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for x in adj[u]:
+            if x != parent[u]:
+                parent[x] = u
+                stack.append(x)
+    start = np.empty(n, dtype=np.intp)
+    start[order] = np.arange(n)
+    size = [1] * n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    return start, size, parent
+
+
+def _reconnecting(ca, cb, parts):
+    """Ranks of the pairs that join `parts` components into one, best first.
+
+    ca and cb are the component labels (0..parts) of each ranked
+    pair's ends, -1 for the removed bus: Kruskal over the components,
+    merging labels after each pick.
+    """
+    picked = []
+    while True:
+        h = int(np.argmax((ca != cb) & (ca >= 0) & (cb >= 0)))
+        picked.append(h)
+        if len(picked) == parts - 1:
+            return picked
+        x, y = ca[h], cb[h]
+        ca = np.where(ca == y, x, ca)
+        cb = np.where(cb == y, x, cb)
 
 
 def weak_mesh_search(mi, joint_mi_provider, max_chords=1, gain_tol=0.01):
@@ -351,20 +409,20 @@ def weak_mesh_search(mi, joint_mi_provider, max_chords=1, gain_tol=0.01):
     pos = {b: i for i, b in enumerate(buses)}
     _, candidates = mesh_candidates(mi, tree)
     best = None
-    for m, (p, q), rest_tree in candidates:
-        score = joint_mi_provider(m, (p, q)) + rest_tree.total_weight()
+    for m, (p, q), rest, rest_weight in candidates:
+        score = joint_mi_provider(m, (p, q)) + rest_weight
         key = (-score, m, p, q)
         if best is None or key < best[0]:
-            best = (key, m, (p, q), rest_tree, score)
+            best = (key, m, (p, q), rest, score)
     if best is None or best[4] <= tree_score + gain_tol:
         return tree
-    _, m, (p, q), rest_tree, _ = best
+    _, m, (p, q), rest, _ = best
     # the stronger parent edge stays a tree edge, the weaker is the chord
     w_p = mi.values[pos[m], pos[p]]
     w_q = mi.values[pos[m], pos[q]]
     strong, weak = (p, q) if (w_p, -p) >= (w_q, -q) else (q, p)
-    edges = rest_tree.edges + (tuple(sorted((m, strong))),)
-    weights = dict(rest_tree.weights)
+    edges = tuple(rest) + (tuple(sorted((m, strong))),)
+    weights = dict(rest)
     weights[tuple(sorted((m, strong)))] = float(max(w_p, w_q))
     weights[tuple(sorted((m, weak)))] = float(min(w_p, w_q))
     return EdgeSetEstimate(bus_ids=tuple(buses), edges=edges, weights=weights,

@@ -166,6 +166,27 @@ def test_config_rejects_bad_generation_input(field, value):
         ScenarioConfig(feeder="bus8").replaced(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_samples", 150.7),
+    ("n_samples", 300.0),
+    ("n_samples", "300"),
+    ("n_samples", True),
+    ("resolution_stride", 1.5),
+    ("resolution_stride", np.float64(2.0)),
+    ("resolution_stride", None),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(EvalError, match=f"{field} must be an integer"):
+        ScenarioConfig(feeder="bus8", **{field: value})
+    with pytest.raises(EvalError, match=f"{field} must be an integer"):
+        ScenarioConfig(feeder="bus8").replaced(**{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = ScenarioConfig(feeder="bus8", n_samples=np.int64(200), resolution_stride=np.int32(2))
+    assert cfg.n_samples == 200 and cfg.resolution_stride == 2
+
+
 def test_rooted_request_builds_one_statistics(bus8, bus8_spec, monkeypatch):
     built = []
     init = info_core.PanelStatistics.__init__
@@ -236,6 +257,14 @@ def test_sweep_accepts_whole_floats_on_integer_axes():
     report, = sweep(cfg, "data_length", [150.0], replicates=1)
     assert type(report.scenario["n_samples"]) is int and report.scenario["n_samples"] == 150
     assert report.value == 150.0
+
+
+def test_sweep_casts_by_field_not_by_the_configured_value():
+    cfg = ScenarioConfig(feeder="bus8", n_samples=np.int64(200), noise_bound=0, phases=False)
+    with pytest.raises(EvalError, match="whole numbers"):
+        sweep(cfg, "data_length", [150.7], replicates=1)
+    report, = sweep(cfg, "noise", [0.001], replicates=1)
+    assert report.scenario["noise_bound"] == 0.001
 
 
 def test_sweep_csv(tmp_path):

@@ -10,6 +10,7 @@ from gridtopo.feeders import random_feeder
 from gridtopo.info_core import (
     SEQ_H_INV,
     InfoCoreError,
+    MIComputationError,
     MIMatrix,
     PanelStatistics,
     SingularCovarianceError,
@@ -280,6 +281,58 @@ def _assert_parity(panel, frame, source, slack=False):
     ref_mi = _reference_mi(ref_cov, ref_slices)
     got = stats.mi_matrix().values
     assert np.abs(got - ref_mi).max() <= 1e-9 * np.abs(ref_mi).max()
+
+
+def _all_pairs_loop_reference(stats):
+    """All-pairs MI as it was computed before the bookkeeping was vectorised.
+
+    Python loops build each pair's index list and group the pairs by
+    joint dimension; each group is one batched slogdet, and the values
+    are written back pair by pair.
+    """
+    buses = [b for b in stats.bus_ids if b != 0]
+    pos = {b: i for i, b in enumerate(buses)}
+    marg = {b: stats.marginal_logdet(b) for b in buses}
+    groups = {}
+    for ii in range(len(buses)):
+        for kk in range(ii + 1, len(buses)):
+            bi, bk = buses[ii], buses[kk]
+            idx = stats.slices[bi] + stats.slices[bk]
+            groups.setdefault(len(idx), []).append((bi, bk, idx))
+    values = np.zeros((len(buses), len(buses)))
+    for entries in groups.values():
+        idx = np.asarray([e[2] for e in entries], dtype=np.intp)
+        _, ld = np.linalg.slogdet(stats.cov[idx[:, :, None], idx[:, None, :]])
+        for (bi, bk, _), ld_j in zip(entries, np.real(ld)):
+            values[pos[bi], pos[bk]] = values[pos[bk], pos[bi]] = \
+                0.5 * (marg[bi] + marg[bk] - float(ld_j))
+    return values
+
+
+@pytest.mark.parametrize("slack_sigma", [0.0, 0.01])
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+@pytest.mark.parametrize("source", ["complex", "magnitude"])
+def test_mi_matrix_equals_the_per_pair_loop_bit_for_bit(bus8, bus8_spec, frame, source,
+                                                        slack_sigma):
+    panel = generate_increments(bus8, bus8_spec, T=400, seed=21, slack_sigma=slack_sigma)
+    stats = PanelStatistics(panel, frame=frame, source=source)
+    assert (0 in stats.slices) == (slack_sigma > 0)
+    assert np.array_equal(stats.mi_matrix().values, _all_pairs_loop_reference(stats))
+
+
+def test_exact_mi_matrix_equals_the_per_pair_loop_bit_for_bit(small_random_feeders):
+    for _, _, acov in small_random_feeders:
+        stats = PanelStatistics.from_analytic(acov, "sequence")
+        assert np.array_equal(stats.mi_matrix().values, _all_pairs_loop_reference(stats))
+
+
+def test_mi_matrix_names_every_singular_pair(bus8, bus8_spec):
+    panel = _inc(bus8, bus8_spec, 600, 16)
+    for a, b in ((2, 5), (3, 7)):
+        panel.values[:, b, panel.slots(b)[0]] = panel.values[:, a, panel.slots(a)[0]]
+    with pytest.raises(MIComputationError) as err:
+        PanelStatistics(panel).mi_matrix()
+    assert err.value.failures == [(2, 5), (3, 7)]
 
 
 @pytest.mark.parametrize("T", [31, 241, 8760])
@@ -569,6 +622,12 @@ def test_mi_matrix_csv_round_trip(bus8, bus8_spec):
     back = MIMatrix.from_csv(buf)
     assert back.bus_ids == est.bus_ids
     assert np.allclose(back.values, est.values, atol=0)
+
+
+def test_mi_matrix_must_be_symmetric():
+    values = np.array([[0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(InfoCoreError, match="symmetric"):
+        MIMatrix(bus_ids=(1, 2), values=values)
 
 
 def test_mi_matrix_csv_rejects_bad_header():

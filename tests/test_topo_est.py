@@ -9,7 +9,6 @@ from gridtopo.synth_lab import InjectionSpec, analytic_cov, generate_increments
 from gridtopo.topo_est import (
     EdgeSetEstimate,
     TopologyEstimateError,
-    UnionFind,
     attach_root,
     enumerate_spanning_trees,
     estimate_from_csv,
@@ -31,7 +30,126 @@ def _mi(ids, entries):
     return MIMatrix(bus_ids=ids, values=vals)
 
 
-# -- Kruskal over MI weights ---------------------------------------------
+# -- reference implementations -------------------------------------------
+#
+# Kruskal (a lexsort of every pair plus union-find) under the same
+# strict order, and one Kruskal run over the other buses per meet bus,
+# are the direct forms of the spanning tree and of the mesh search's
+# remainder trees. Prim and the T-v remainder trees must equal them
+# exactly: edge order, weights, candidates and score sums.
+
+
+def _kruskal_reference(mi):
+    """(edges in acceptance order, weights) of Kruskal under the strict order."""
+    buses = list(mi.bus_ids)
+    m = len(buses)
+    ids = np.asarray(buses)
+    ii, kk = np.triu_indices(m, 1)
+    w = np.asarray(mi.values, dtype=float)[ii, kk]
+    order = np.lexsort((np.maximum(ids[ii], ids[kk]), np.minimum(ids[ii], ids[kk]), -w))
+    parent = list(range(m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    edges, weights = [], {}
+    for i, k, wt in zip(ii[order].tolist(), kk[order].tolist(), w[order].tolist()):
+        ri, rk = find(i), find(k)
+        if ri != rk:
+            parent[rk] = ri
+            pair = tuple(sorted((buses[i], buses[k])))
+            edges.append(pair)
+            weights[pair] = wt
+            if len(edges) == m - 1:
+                break
+    return tuple(edges), weights
+
+
+def _mesh_candidates_reference(mi):
+    """[(m, (p, q), rest edges, rest weights, rest total)] by one Kruskal per meet bus."""
+    edges, _ = _kruskal_reference(mi)
+    buses = list(mi.bus_ids)
+    pos = {b: i for i, b in enumerate(buses)}
+    adj = {b: set() for b in buses}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    out = []
+    for m in buses:
+        if len(adj[m]) < 2:
+            continue
+        rest = [b for b in buses if b != m]
+        keep = [pos[b] for b in rest]
+        sub = MIMatrix(bus_ids=tuple(rest), values=mi.values[np.ix_(keep, keep)])
+        r_edges, r_weights = _kruskal_reference(sub)
+        total = EdgeSetEstimate(bus_ids=tuple(rest), edges=r_edges,
+                                weights=r_weights).total_weight()
+        for p, q in itertools.combinations(sorted(adj[m]), 2):
+            if (p, q) not in r_weights:
+                out.append((m, (p, q), r_edges, r_weights, total))
+    return out
+
+
+def _weak_mesh_search_reference(mi, provider, gain_tol):
+    """(edges, weights, chords) of the single-chord search over the reference candidates."""
+    edges, weights = _kruskal_reference(mi)
+    tree_score = float(sum(weights[e] for e in edges))
+    best = None
+    for m, (p, q), r_edges, r_weights, total in _mesh_candidates_reference(mi):
+        score = provider(m, (p, q)) + total
+        key = (-score, m, p, q)
+        if best is None or key < best[0]:
+            best = (key, m, (p, q), r_edges, r_weights, score)
+    if best is None or best[5] <= tree_score + gain_tol:
+        return edges, weights, ()
+    _, m, (p, q), r_edges, r_weights, _ = best
+    w_p, w_q = mi.value(m, p), mi.value(m, q)
+    strong, weak = (p, q) if (w_p, -p) >= (w_q, -q) else (q, p)
+    weights = dict(r_weights)
+    weights[tuple(sorted((m, strong)))] = max(w_p, w_q)
+    weights[tuple(sorted((m, weak)))] = min(w_p, w_q)
+    return r_edges + (tuple(sorted((m, strong))),), weights, (tuple(sorted((m, weak))),)
+
+
+def _random_mi(rng, m, ties):
+    """Symmetric MI over m unsorted, non-contiguous bus ids; ties makes weights small integers."""
+    ids = tuple(int(b) for b in rng.permutation(rng.choice(np.arange(1, 400), m, replace=False)))
+    vals = rng.integers(0, 3, size=(m, m)).astype(float) if ties else rng.uniform(0, 2, (m, m))
+    vals = np.triu(vals, 1)
+    return MIMatrix(bus_ids=ids, values=vals + vals.T)
+
+
+def _random_provider(rng, ties):
+    """Joint-MI stand-in: one fixed random value per hypothesis."""
+    table = {}
+
+    def provider(m, pq):
+        if (m, pq) not in table:
+            table[(m, pq)] = float(rng.integers(0, 4)) if ties else float(rng.uniform(0, 4))
+        return table[(m, pq)]
+
+    return provider
+
+
+def _is_spanning_tree(edges, bus_ids):
+    """len(bus_ids) - 1 edges over bus_ids that reach every bus from the first."""
+    adj = {b: [] for b in bus_ids}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, stack = {bus_ids[0]}, [bus_ids[0]]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(edges) == len(bus_ids) - 1 and seen == set(bus_ids)
+
+
+# -- maximum-weight spanning tree ----------------------------------------
 
 
 def test_unique_mst_three_buses():
@@ -93,11 +211,28 @@ def test_mst_rejects_nonfinite():
         max_weight_spanning_tree(mi)
 
 
-def test_union_find_cycle_detect():
-    uf = UnionFind(3)
-    assert uf.union(0, 1)
-    assert uf.union(1, 2)
-    assert not uf.union(0, 2)
+@pytest.mark.parametrize("ties", [False, True])
+def test_prim_equals_kruskal_reference(rng, ties):
+    for _ in range(150):
+        mi = _random_mi(rng, int(rng.integers(1, 30)), ties)
+        tree = max_weight_spanning_tree(mi)
+        edges, weights = _kruskal_reference(mi)
+        assert tree.edges == edges
+        assert list(tree.weights.items()) == list(weights.items())
+
+
+def test_prim_equals_kruskal_reference_on_a_large_tied_matrix(rng):
+    mi = _random_mi(rng, 300, ties=True)
+    edges, weights = _kruskal_reference(mi)
+    tree = max_weight_spanning_tree(mi)
+    assert tree.edges == edges and tree.weights == weights
+
+
+def test_mst_rejects_nonfinite_on_the_diagonal():
+    mi = _mi((1, 2, 3), {(1, 2): 3.0, (2, 3): 2.0, (1, 3): 1.0})
+    mi.values[1, 1] = np.inf
+    with pytest.raises(TopologyEstimateError):
+        max_weight_spanning_tree(mi)
 
 
 # -- estimate container --------------------------------------------------
@@ -171,21 +306,19 @@ def test_enumeration_counts_cayley():
         assert len(trees) == max(1, m ** (m - 2))
         assert len(set(trees)) == len(trees)
         for t in trees:
-            assert len(t) == m - 1
-            uf = UnionFind(m)
-            pos = {b: i for i, b in enumerate(ids)}
-            for a, b in t:
-                assert uf.union(pos[a], pos[b])
+            assert _is_spanning_tree(t, ids)
 
 
 def test_random_tree_is_valid(rng):
     ids = (2, 4, 6, 8, 10)
     for _ in range(50):
-        t = random_spanning_tree(ids, rng)
-        uf = UnionFind(5)
-        pos = {b: i for i, b in enumerate(ids)}
-        for a, b in t:
-            assert uf.union(pos[a], pos[b])
+        assert _is_spanning_tree(random_spanning_tree(ids, rng), ids)
+
+
+def test_tree_validity_helper_refuses_cycles_and_forests():
+    assert not _is_spanning_tree(((1, 2), (2, 3), (1, 3)), (1, 2, 3, 4))
+    assert not _is_spanning_tree(((1, 2), (3, 4)), (1, 2, 3, 4))
+    assert _is_spanning_tree(((1, 2), (3, 4), (2, 3)), (1, 2, 3, 4))
 
 
 # -- weakly meshed extension ---------------------------------------------
@@ -246,13 +379,61 @@ def test_mesh_candidates_never_close_triangles():
         adj[a].add(b)
         adj[b].add(a)
     assert cands
-    for m, (p, q), rest_tree in cands:
+    for m, (p, q), rest, rest_weight in cands:
         assert p in adj[m] and q in adj[m]
+        assert _is_spanning_tree(tuple(rest), tuple(b for b in mi.bus_ids if b != m))
         radj = {}
-        for a, b in rest_tree.edges:
+        for a, b in rest:
             radj.setdefault(a, set()).add(b)
             radj.setdefault(b, set()).add(a)
         assert q not in radj.get(p, set())
+
+
+def _assert_candidates_match_reference(mi):
+    tree, cands = mesh_candidates(mi)
+    ref = _mesh_candidates_reference(mi)
+    assert tree.edges == _kruskal_reference(mi)[0]
+    assert [(m, pq) for m, pq, _, _ in cands] == [(m, pq) for m, pq, _, _, _ in ref]
+    for (_, _, rest, rest_weight), (_, _, r_edges, r_weights, total) in zip(cands, ref):
+        assert tuple(rest) == r_edges
+        assert list(rest.items()) == list(r_weights.items())
+        assert rest_weight == total
+    return cands
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_mesh_candidates_equal_per_bus_reference(rng, ties):
+    found = 0
+    for _ in range(100):
+        found += len(_assert_candidates_match_reference(
+            _random_mi(rng, int(rng.integers(3, 25)), ties)))
+    assert found > 100
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_mesh_search_equals_reference(rng, ties):
+    chords = 0
+    for _ in range(100):
+        mi = _random_mi(rng, int(rng.integers(1, 20)), ties)
+        provider = _random_provider(rng, ties)
+        for gain_tol in (-1.0, 0.01, 1.0):
+            est = weak_mesh_search(mi, provider, gain_tol=gain_tol)
+            edges, weights, ref_chords = _weak_mesh_search_reference(mi, provider, gain_tol)
+            assert est.edges == edges and est.chords == ref_chords
+            assert list(est.weights.items()) == list(weights.items())
+            chords += bool(est.chords)
+    assert chords > 50
+
+
+def test_mesh_candidates_and_search_equal_reference_on_bus123(exact_feeders):
+    topo, acov = exact_feeders["bus123"]
+    stats = PanelStatistics.from_analytic(acov, "sequence")
+    mi = stats.mi_matrix()
+    assert len(_assert_candidates_match_reference(mi)) == 119
+    provider = lambda m, pq: stats.group_mi([m], list(pq))
+    est = weak_mesh_search(mi, provider)
+    edges, weights, chords = _weak_mesh_search_reference(mi, provider, 0.01)
+    assert (est.edges, est.weights, est.chords) == (edges, weights, chords)
 
 
 def test_mesh_search_on_sampled_data(bus8, bus8_spec):
