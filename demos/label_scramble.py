@@ -14,6 +14,7 @@ import numpy as np
 from gridtopo import (
     FeederSampler,
     InjectionSpec,
+    PanelStatistics,
     assign_phases,
     assignment_accuracy,
     corrupt_labels,
@@ -22,7 +23,6 @@ from gridtopo import (
     estimate_topology,
     integrate_voltages,
     make_feeder,
-    mi_matrix,
 )
 
 topo = make_feeder("bus13")
@@ -35,8 +35,8 @@ moved = sorted(b for b in topo.non_slack_ids
                if not np.array_equal(volts.labels[b], scrambled.labels[b]))
 print(f"forged labels on buses {moved}")
 
-clean_mi = mi_matrix(difference(volts))
-dirty_mi = mi_matrix(difference(scrambled))
+clean_mi = PanelStatistics(difference(volts)).mi_matrix()
+dirty_mi = PanelStatistics(difference(scrambled)).mi_matrix()
 print(f"max MI change under the forgery: "
       f"{np.abs(clean_mi.values - dirty_mi.values).max():.2e} nats")
 

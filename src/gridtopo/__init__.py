@@ -62,7 +62,6 @@ from .info_core import (
     SingularCovarianceError,
     difference,
     mi_breakdown,
-    mi_matrix,
     substation_mi,
 )
 from .topo_est import (

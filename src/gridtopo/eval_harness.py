@@ -255,13 +255,6 @@ class EvalReport:
     def canonical_json(self):
         return json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
 
-    def to_json(self, path=None):
-        text = json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
-
     def summary(self):
         pa = ("n/a" if self.phase_accuracy_mean is None
               else f"{self.phase_accuracy_mean:.4f}")

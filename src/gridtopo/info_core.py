@@ -1,13 +1,16 @@
 """Gaussian information measures over measurement panels.
 
-Everything the topology estimator needs reduces to log-determinants of
-one standardized covariance: pairwise and group mutual information and
-the all-pairs mutual information matrix, in one of two frames (phase or
-symmetrical-component) from one of two sources (complex phasors or
-magnitudes). PanelStatistics is that one kernel. It is built from the
-sample covariance of a panel or, through PanelStatistics.from_analytic,
-from the exact covariance of the increment model (infinite data); both
-sources share every step after the gather.
+Every mutual information here is a difference of log-determinants of
+principal blocks of one standardized covariance: pairwise and group
+mutual information and the all-pairs mutual information matrix, in one
+of two frames (phase or symmetrical-component) from one of two sources
+(complex phasors or magnitudes). PanelStatistics is that one kernel,
+and its batched block log-determinant is the only determinant taken. It
+is built from the sample covariance of a panel or, through
+PanelStatistics.from_analytic, from the exact covariance of the
+increment model (infinite data); both sources share every step after
+the gather. mi_breakdown's magnitude/angle split is a kernel query too,
+on statistics built from the pair's polar covariance.
 
 Complex observations are treated as real vectors of stacked (Re, Im)
 parts. The magnitude source takes the moduli of the complex increments
@@ -114,34 +117,6 @@ def from_sequence(values):
     return arr @ SEQ_H.T
 
 
-def _sample_cov(x, ddof=1):
-    """Covariance of rows of x; complex input gives the Hermitian form."""
-    xc = x - x.mean(axis=0, keepdims=True)
-    n = x.shape[0]
-    if np.iscomplexobj(xc):
-        return xc.conj().T @ xc / (n - ddof)
-    return xc.T @ xc / (n - ddof)
-
-
-def _checked_logdet(cov, context):
-    """log|det cov| with an explicit singularity check.
-
-    Relative eigenvalue cutoff 1e-12 catches exact linear dependence
-    (duplicated coordinates) without regularizing anything silently.
-    """
-    cov = np.asarray(cov)
-    if cov.shape[0] == 0:
-        return 0.0
-    evals = np.linalg.eigvalsh(cov)
-    top = float(evals[-1])
-    if top <= 0.0 or evals[0] <= 1e-12 * top:
-        raise SingularCovarianceError(
-            f"singular covariance for {context}: eigenvalue range "
-            f"[{evals[0]:.3e}, {top:.3e}]"
-        )
-    return float(np.sum(np.log(evals)))
-
-
 # ---------------------------------------------------------------------
 # Panel feature extraction
 # ---------------------------------------------------------------------
@@ -244,11 +219,22 @@ def _feature_cov(panel, bus_ids, frame, source):
 _SUBSTATION_RANK_RTOL = 1e-6
 
 
+# below this eigenvalue ratio a polar block is exactly singular
+# (duplicated coordinates); nothing is regularised silently
+_POLAR_RANK_RTOL = 1e-12
+
+
 def _corr_normalize(C):
     d = np.sqrt(np.real(np.diag(C)))
     if np.any(d <= 0.0):
         raise SingularCovarianceError("non-positive variance on the covariance diagonal")
     return C / np.outer(d, d)
+
+
+def _full_rank(C, rtol):
+    """Whether Hermitian C has a positive top eigenvalue and its bottom one above rtol of it."""
+    eigs = np.linalg.eigvalsh(C)
+    return eigs[-1] > 0.0 and eigs[0] > rtol * eigs[-1]
 
 
 def _slack_has_signal(panel, frame, source):
@@ -261,8 +247,7 @@ def _slack_has_signal(panel, frame, source):
     slack, _ = _feature_cov(panel, [0], frame, source)
     if slack.size == 0 or np.any(slack.diagonal().real <= 0.0):
         return False
-    eigs = np.linalg.eigvalsh(_corr_normalize(slack))
-    return eigs[0] > _SUBSTATION_RANK_RTOL * eigs[-1]
+    return _full_rank(_corr_normalize(slack), _SUBSTATION_RANK_RTOL)
 
 
 def _validate_frame_source(frame, source):
@@ -281,9 +266,11 @@ class PanelStatistics:
     to the D×D matrix and the features are standardized by a diagonal
     rescale (population variances, so the diagonal reads n/(n-1), or 1
     at infinite data).
-    Every mutual-information query then reduces to gathering a
-    submatrix and taking its log-determinant, which keeps the all-pairs
-    matrix cheap: the determinants are batched per joint dimension.
+    Every mutual-information query then reduces to log-determinants of
+    principal submatrices, all taken by one batched primitive
+    (_logdets). The all-pairs matrix batches its pairs per joint
+    dimension, and each bus's own log-determinant is computed once and
+    shared by the matrix and every later group_mi query.
 
     The substation (bus 0) joins the gather only when its own block
     carries a usable signal (see _slack_has_signal); otherwise the
@@ -328,8 +315,13 @@ class PanelStatistics:
         order = [k for js in by_bus.values() for k in js + [j + acov.dim for j in js]]
         cov, slices = _frame_cov(np.asarray(acov.real, dtype=float)[np.ix_(order, order)],
                                  bus_ids, present, frame, "complex")
+        return cls._from_cov(cov, slices, bus_ids, frame, "complex", math.inf)
+
+    @classmethod
+    def _from_cov(cls, cov, slices, bus_ids, frame, source, n):
+        """Statistics of a feature covariance that did not come from a panel."""
         stats = cls.__new__(cls)
-        stats._standardize(cov, slices, bus_ids, frame, "complex", math.inf, 0.0)
+        stats._standardize(cov, slices, bus_ids, frame, source, n, 0.0)
         return stats
 
     def _standardize(self, cov, slices, bus_ids, frame, source, n, ridge):
@@ -363,17 +355,33 @@ class PanelStatistics:
                 f"covariance, got {self.n_samples}"
             )
 
-    def _logdet(self, idx, context):
-        sub = self.cov[np.ix_(idx, idx)]
-        sign, ld = np.linalg.slogdet(sub)
-        if (np.real(sign) if np.iscomplexobj(np.asarray(sign)) else sign) <= 0 or not np.isfinite(ld):
-            raise SingularCovarianceError(f"singular covariance for {context}")
-        return float(np.real(ld))
+    def _logdets(self, idx):
+        """log|det| of the principal blocks cov[idx[n], idx[n]], as (ld, ok).
+
+        idx is an (n, d) array of feature positions. ok[n] is False
+        where block n's determinant is not positive and finite; every
+        mutual information in this module is a difference of these.
+        """
+        sign, ld = np.linalg.slogdet(self.cov[idx[:, :, None], idx[:, None, :]])
+        return ld, (np.real(sign) > 0) & np.isfinite(ld)
+
+    def _logdet(self, buses):
+        """log|det| of the joint block of buses, in the order given.
+
+        A single bus's value is computed once and cached.
+        """
+        if len(buses) == 1 and buses[0] in self._marginal:
+            return self._marginal[buses[0]]
+        idx = np.array([[j for b in buses for j in self.slices[b]]], dtype=np.intp)
+        ld, ok = self._logdets(idx)
+        if not ok[0]:
+            raise SingularCovarianceError(f"singular covariance for buses {list(buses)}")
+        if len(buses) == 1:
+            self._marginal[buses[0]] = float(ld[0])
+        return float(ld[0])
 
     def marginal_logdet(self, bus_id):
-        if bus_id not in self._marginal:
-            self._marginal[bus_id] = self._logdet(self.slices[bus_id], f"bus {bus_id}")
-        return self._marginal[bus_id]
+        return self._logdet([bus_id])
 
     def group_mi(self, buses_a, buses_b):
         """I(block A; block B) between unions of bus features, nats."""
@@ -382,10 +390,8 @@ class PanelStatistics:
         if set(ia) & set(ib):
             raise InfoCoreError("blocks must be disjoint")
         self.require_samples(len(ia) + len(ib))
-        ld_a = self._logdet(ia, f"buses {list(buses_a)}")
-        ld_b = self._logdet(ib, f"buses {list(buses_b)}")
-        ld_j = self._logdet(ia + ib, f"buses {list(buses_a) + list(buses_b)}")
-        return 0.5 * (ld_a + ld_b - ld_j)
+        joint = list(buses_a) + list(buses_b)
+        return 0.5 * (self._logdet(buses_a) + self._logdet(buses_b) - self._logdet(joint))
 
     def pair_mi(self, bus_i, bus_k):
         return self.group_mi([bus_i], [bus_k])
@@ -423,11 +429,8 @@ class PanelStatistics:
             first = j < dims[a]
             idx = np.where(first, table[a, np.where(first, j, 0)],
                            table[b, np.where(first, 0, j - dims[a])])
-            sign, ld = np.linalg.slogdet(self.cov[idx[:, :, None], idx[:, None, :]])
-            sign = np.real(sign) if np.iscomplexobj(sign) else sign
-            ld = np.real(ld)
-            bad = ~((sign > 0) & np.isfinite(ld))
-            failures += [(buses[x], buses[y]) for x, y in zip(ii[sel[bad]], kk[sel[bad]])]
+            ld, ok = self._logdets(idx)
+            failures += [(buses[x], buses[y]) for x, y in zip(ii[sel[~ok]], kk[sel[~ok]])]
             mi = 0.5 * (marg[ii[sel]] + marg[kk[sel]] - ld)
             values[ii[sel], kk[sel]] = mi
             values[kk[sel], ii[sel]] = mi
@@ -546,16 +549,6 @@ class MIMatrix:
         return cls(bus_ids=bus_ids, values=values, frame=frame, source=source)
 
 
-def mi_matrix(panel, frame="phase", source="complex", ridge=0.0):
-    """All-pairs Gaussian mutual information between non-slack buses.
-
-    panel must hold increments. ridge > 0 adds a diagonal loading to the
-    standardized covariance as a last-resort retry for singular sample
-    covariances; it is off by default and never applied silently.
-    """
-    return PanelStatistics(panel, frame=frame, source=source, ridge=ridge).mi_matrix()
-
-
 def substation_mi(panel, frame="phase", source="complex", significance=1e-3):
     """MI between the substation and every non-slack bus, or None.
 
@@ -587,12 +580,15 @@ def mi_breakdown(panel, bus_i, bus_k):
         term_c = I(m_i, t_i; t_k | m_k)
 
     and the three terms sum exactly to the full polar-frame mutual
-    information computed from the same joint covariance. Constant-angle
-    channels (magnitude-only panels) drop out, leaving term_b = term_c = 0.
+    information computed from the same joint covariance. Each term is a
+    difference of group_mi queries on PanelStatistics built from that
+    covariance, with the blocks m_i, t_i, m_k and t_k in place of buses.
+    Constant channels drop out, so on magnitude-only panels (constant
+    angles) term_b = term_c = 0.
     """
     if panel.kind != "voltage":
         raise InfoCoreError("mi_breakdown expects a voltage panel")
-    blocks = {}
+    cols, slices = [], {}
     for tag, b in (("i", bus_i), ("k", bus_k)):
         x = panel.channels(b)
         if panel.magnitude_only:
@@ -601,42 +597,25 @@ def mi_breakdown(panel, bus_i, bus_k):
         else:
             m = np.abs(np.diff(x, axis=0))
             t = np.diff(np.unwrap(np.angle(x), axis=0), axis=0)
-        blocks["m" + tag] = m
-        blocks["t" + tag] = t
-
-    def live(arr):
-        sd = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(arr.shape[1])
-        return arr[:, sd > 0.0]
-
-    mi_b, ti_b = live(blocks["mi"]), live(blocks["ti"])
-    mk_b, tk_b = live(blocks["mk"]), live(blocks["tk"])
-    X = np.hstack([mi_b, ti_b, mk_b, tk_b])
+        for name, arr in ((f"m_{tag}", m), (f"t_{tag}", t)):
+            sd = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(arr.shape[1])
+            start = sum(c.shape[1] for c in cols)
+            cols.append(arr[:, sd > 0.0])
+            slices[name] = list(range(start, start + cols[-1].shape[1]))
+    X = np.hstack(cols)
     if X.shape[1] == 0:
         raise SingularCovarianceError(f"no varying channels between buses {bus_i} and {bus_k}")
-    c0 = mi_b.shape[1]
-    c1 = c0 + ti_b.shape[1]
-    c2 = c1 + mk_b.shape[1]
-    idx_mi = list(range(0, c0))
-    idx_ti = list(range(c0, c1))
-    idx_mk = list(range(c1, c2))
-    idx_tk = list(range(c2, X.shape[1]))
     n = X.shape[0]
-    if n < X.shape[1] + 1:
-        raise InfoCoreError("not enough samples for the polar joint covariance")
-    sd = X.std(axis=0, ddof=1)
-    X = (X - X.mean(axis=0)) / sd
-    C = _sample_cov(X)
-
-    def ld(idx):
-        if not idx:
-            return 0.0
-        return _checked_logdet(C[np.ix_(idx, idx)], f"polar block of buses {bus_i},{bus_k}")
-
-    term_a = 0.5 * (ld(idx_mi) + ld(idx_mk) - ld(idx_mi + idx_mk))
-    term_b = 0.5 * (
-        ld(idx_ti + idx_mi) + ld(idx_mk + idx_mi) - ld(idx_mi) - ld(idx_ti + idx_mi + idx_mk)
-    ) if idx_ti else 0.0
-    term_c = 0.5 * (
-        ld(idx_mi + idx_ti + idx_mk) + ld(idx_tk + idx_mk) - ld(idx_mk) - ld(list(range(X.shape[1])))
-    ) if idx_tk else 0.0
-    return float(term_a), float(term_b), float(term_c)
+    X -= X.mean(axis=0)
+    stats = PanelStatistics._from_cov(X.T @ X / (n - 1), slices, list(slices),
+                                      "phase", "polar", n)
+    stats.require_samples(stats.dim)
+    # every block queried below is a principal submatrix of the joint,
+    # so by Cauchy interlacing this one check covers them all
+    if not _full_rank(stats.cov, _POLAR_RANK_RTOL):
+        raise SingularCovarianceError(f"singular polar covariance for buses {bus_i},{bus_k}")
+    mi = stats.group_mi
+    term_a = mi(["m_i"], ["m_k"])
+    term_b = mi(["m_k"], ["t_i", "m_i"]) - term_a if slices["t_i"] else 0.0
+    term_c = mi(["t_k"], ["m_i", "t_i", "m_k"]) - mi(["t_k"], ["m_k"]) if slices["t_k"] else 0.0
+    return term_a, term_b, term_c

@@ -115,10 +115,17 @@ def assign_phases(tree, panel, use_increments=True):
     total correlation, exhaustively over at most six candidate maps.
     Correlations indistinguishable from zero at the 1e-3 level are
     treated as uninformative, so a pure-noise parent series falls back
-    to the claimed labels instead of resolving by coin flip.
+    to the claimed labels instead of resolving by coin flip. The tree
+    must cover exactly the panel's non-slack buses.
     """
     if not tree.rooted:
         raise PhaseIdError("assign_phases needs a rooted estimate")
+    named = set(tree.bus_ids) | {max(tree.root_edge)}
+    measured = set(range(1, panel.n_buses))
+    if named != measured:
+        bus = min(named ^ measured)
+        where = "is not in the measurements" if bus in named else "is missing from the tree"
+        raise PhaseIdError(f"topology does not match the measurements: bus {bus} {where}")
     out = PhaseAssignment()
     mseries = {}
 

@@ -97,11 +97,6 @@ class InjectionSpec:
             cov[b.id][np.ix_(idx, idx)] = block * rot
         return cls(covariances=cov, seed=int(seed), reactive_ratio=reactive_ratio)
 
-    @classmethod
-    def from_covariances(cls, covariances, seed=0, reactive_ratio=None):
-        return cls(covariances=np.array(covariances, dtype=complex), seed=seed,
-                   reactive_ratio=reactive_ratio)
-
     def scaled(self, bus_ids, factor):
         """New spec with the given buses' covariance multiplied by factor."""
         cov = self.covariances.copy()
@@ -121,7 +116,6 @@ class InjectionSpec:
         if not idx:
             return None
         sub = self.covariances[bus_id][np.ix_(idx, idx)]
-        p = len(idx)
         if self.reactive_ratio is None:
             creal = 0.5 * np.block([
                 [sub.real, -sub.imag],
@@ -138,23 +132,6 @@ class InjectionSpec:
         Ta = c * np.vstack([np.diag(np.cos(theta)), np.diag(np.sin(theta))])
         Tb = c * kappa * np.vstack([-np.diag(np.sin(theta)), np.diag(np.cos(theta))])
         return np.hstack([Ta @ L, Tb @ L])
-
-    def sample(self, topology, T, seed=None):
-        """(T, n_buses, 3) complex injection increments, zero at the slack."""
-        rng = np.random.default_rng(self.seed if seed is None else seed)
-        out = np.zeros((T, self.n_buses, 3), dtype=complex)
-        for b in topology.buses:
-            if b.is_slack:
-                continue
-            F = self._real_factor(b.id)
-            if F is None:
-                continue
-            idx = self.present_slots(b.id)
-            p = len(idx)
-            w = rng.standard_normal((F.shape[1], T))
-            xy = F @ w
-            out[:, b.id, idx] = (xy[:p] + 1j * xy[p:]).T
-        return out
 
 
 def _chol_psd(mat):
@@ -189,7 +166,6 @@ class VoltagePanel:
     labels: np.ndarray
     kind: str = "voltage"
     magnitude_only: bool = False
-    sample_period_s: float = 3600.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -220,13 +196,8 @@ class VoltagePanel:
     def copy(self):
         return VoltagePanel(
             values=self.values.copy(), masks=self.masks.copy(),
-            labels=self.labels.copy(), kind=self.kind,
-            magnitude_only=self.magnitude_only, sample_period_s=self.sample_period_s,
+            labels=self.labels.copy(), kind=self.kind, magnitude_only=self.magnitude_only,
         )
-
-    def true_phase_of(self, bus_id, slot):
-        t = int(self.labels[bus_id, slot])
-        return PHASES[t] if t >= 0 else None
 
     def true_phases(self, bus_id):
         """Phase index per claimed channel, slot order; the ground truth."""
@@ -388,28 +359,23 @@ def analytic_cov(topology, spec):
     return FeederSampler(topology, spec).analytic()
 
 
-def integrate_voltages(panel, v0=None):
+def integrate_voltages(panel):
     """Cumulative-sum increments into a voltage panel.
 
-    The first output sample equals the start profile v0, which defaults
-    to a balanced positive-sequence flat start (per-channel angle given
-    by the channel's true phase), or to unit magnitudes for
-    magnitude-only panels. Differencing the result recovers the input.
+    The first output sample is a balanced positive-sequence flat start
+    (per-channel angle given by the channel's true phase), or unit
+    magnitudes for magnitude-only panels. Differencing the result
+    recovers the input.
     """
     if panel.kind != "increment":
         raise SynthError("integrate_voltages expects an increment panel")
     T, B, _ = panel.values.shape
-    if v0 is None:
-        v0 = np.zeros((B, 3), dtype=complex)
-        for b in range(B):
-            for s in np.flatnonzero(panel.masks[b]):
-                true = int(panel.labels[b, s])
-                true = true if true >= 0 else int(s)
-                v0[b, s] = 1.0 if panel.magnitude_only else np.exp(1j * NOMINAL_ANGLES[true])
-    else:
-        v0 = np.asarray(v0, dtype=complex)
-        if v0.shape != (B, 3):
-            raise SynthError("v0 must have shape (n_buses, 3)")
+    v0 = np.zeros((B, 3), dtype=complex)
+    for b in range(B):
+        for s in np.flatnonzero(panel.masks[b]):
+            true = int(panel.labels[b, s])
+            true = true if true >= 0 else int(s)
+            v0[b, s] = 1.0 if panel.magnitude_only else np.exp(1j * NOMINAL_ANGLES[true])
     out = np.zeros((T + 1, B, 3), dtype=complex)
     out[0] = v0
     out[1:] = v0[None, :, :] + np.cumsum(panel.values, axis=0)
@@ -581,7 +547,7 @@ def panel_to_csv(panel, path_or_buf):
         write(path_or_buf)
 
 
-def panel_from_csv(path_or_buf, kind="voltage", sample_period_s=3600.0):
+def panel_from_csv(path_or_buf, kind="voltage"):
     """Read a long-format measurement CSV back into a panel.
 
     Rows may come in any order; every (bus, claimed phase) channel must
@@ -620,7 +586,7 @@ def panel_from_csv(path_or_buf, kind="voltage", sample_period_s=3600.0):
         cells.imag[flat] = mag * sin + 0.0 * cos
     return VoltagePanel(
         values=values, masks=masks, labels=identity_labels(masks), kind=kind,
-        magnitude_only=ang is None and t.size > 0, sample_period_s=sample_period_s,
+        magnitude_only=ang is None and t.size > 0,
     )
 
 

@@ -23,7 +23,7 @@ from gridtopo.eval_harness import (
     sweep,
 )
 from gridtopo.feeders import make_feeder
-from gridtopo.info_core import MIMatrix, PanelStatistics, difference, mi_matrix
+from gridtopo.info_core import MIMatrix, PanelStatistics, difference
 from gridtopo.phase_id import edge_correlation_margins
 from gridtopo.synth_lab import corrupt_labels, integrate_voltages
 from gridtopo.topo_est import (
@@ -135,8 +135,8 @@ def test_criterion_03_label_corruption_robustness(criteria):
         clean_inc = difference(volts)
         corr_inc = difference(corrupted)
         for frame, source in COMBOS:
-            a = mi_matrix(clean_inc, frame=frame, source=source)
-            b = mi_matrix(corr_inc, frame=frame, source=source)
+            a = PanelStatistics(clean_inc, frame=frame, source=source).mi_matrix()
+            b = PanelStatistics(corr_inc, frame=frame, source=source).mi_matrix()
             assert a.bus_ids == b.bus_ids
             worst = max(worst, float(np.abs(a.values - b.values).max()))
 

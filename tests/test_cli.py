@@ -195,6 +195,23 @@ def test_identify_phases_unrooted_tree_needs_root(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0,1\n1,2\n1,3\n2,4\n2,5\n3,6\n3,7\n7,17\n", "bus 17 is not in the measurements"),
+    ("0,1\n1,2\n1,3\n2,4\n2,5\n3,6\n", "bus 7 is missing from the tree"),
+])
+def test_identify_phases_rejects_a_tree_over_other_buses(tmp_path, capsys, rows, message):
+    prefix = _simulate(tmp_path, samples=200)
+    topo = tmp_path / "other_topology.csv"
+    topo.write_text("parent_id,child_id\n" + rows)
+    out = tmp_path / "phases.csv"
+    rc = main(["identify-phases", "--measurements", prefix + ".measurements.csv",
+               "--topology", str(topo), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_identify_phases_missing_topology_exits_two(tmp_path):
     prefix = _simulate(tmp_path, samples=200)
     rc = main(["identify-phases", "--measurements", prefix + ".measurements.csv",

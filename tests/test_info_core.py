@@ -17,7 +17,6 @@ from gridtopo.info_core import (
     difference,
     from_sequence,
     mi_breakdown,
-    mi_matrix,
     _feature_cov,
     substation_mi,
     to_sequence,
@@ -152,7 +151,7 @@ def _inc(topo, spec, T, seed):
 
 
 def test_mi_matrix_shape_and_symmetry(bus8, bus8_spec):
-    est = mi_matrix(_inc(bus8, bus8_spec, 600, 0))
+    est = PanelStatistics(_inc(bus8, bus8_spec, 600, 0)).mi_matrix()
     assert est.bus_ids == tuple(sorted(bus8.non_slack_ids))
     assert np.allclose(est.values, est.values.T, atol=1e-15)
     assert np.all(np.diag(est.values) == 0)
@@ -164,14 +163,15 @@ def test_panel_statistics_computes_mi_matrix_once(bus8, bus8_spec):
     stats = PanelStatistics(panel, frame="sequence")
     first = stats.mi_matrix()
     assert stats.mi_matrix() is first
-    assert np.array_equal(first.values, mi_matrix(panel, frame="sequence").values)
+    again = PanelStatistics(panel, frame="sequence").mi_matrix()
+    assert np.array_equal(first.values, again.values)
 
 
 def test_mi_matrix_all_frame_source_combinations(bus8, bus8_spec):
     panel = _inc(bus8, bus8_spec, 400, 1)
     for frame in ("phase", "sequence"):
         for source in ("complex", "magnitude"):
-            est = mi_matrix(panel, frame=frame, source=source)
+            est = PanelStatistics(panel, frame=frame, source=source).mi_matrix()
             assert est.frame == frame and est.source == source
             assert np.all(np.isfinite(est.values))
 
@@ -182,24 +182,44 @@ def test_mi_matrix_invariant_to_label_corruption(bus8, bus8_spec):
     scrambled = difference(corrupt_labels(volts, 0.5, seed=9))
     for frame in ("phase", "sequence"):
         for source in ("complex", "magnitude"):
-            a = mi_matrix(panel, frame=frame, source=source)
-            b = mi_matrix(scrambled, frame=frame, source=source)
+            a = PanelStatistics(panel, frame=frame, source=source).mi_matrix()
+            b = PanelStatistics(scrambled, frame=frame, source=source).mi_matrix()
             assert np.abs(a.values - b.values).max() < 1e-12
 
 
 def test_magnitude_sequence_equals_magnitude_phase(bus8, bus8_spec):
     panel = _inc(bus8, bus8_spec, 800, 3)
-    a = mi_matrix(panel, frame="phase", source="magnitude")
-    b = mi_matrix(panel, frame="sequence", source="magnitude")
+    a = PanelStatistics(panel, frame="phase", source="magnitude").mi_matrix()
+    b = PanelStatistics(panel, frame="sequence", source="magnitude").mi_matrix()
     assert np.abs(a.values - b.values).max() < 1e-9
 
 
 def test_sample_mi_matrix_tracks_analytic(bus8, bus8_spec, bus8_analytic):
     panel = _inc(bus8, bus8_spec, 8760, 4)
-    est = mi_matrix(panel)
+    est = PanelStatistics(panel).mi_matrix()
     truth = PanelStatistics.from_analytic(bus8_analytic).mi_matrix()
     for i, k, v in truth.pairs():
         assert est.value(i, k) == pytest.approx(v, rel=0.10, abs=5e-3)
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+@pytest.mark.parametrize("source", ["complex", "magnitude"])
+def test_group_mi_is_the_same_before_and_after_the_marginal_cache(bus8, bus8_spec,
+                                                                  frame, source):
+    panel = _inc(bus8, bus8_spec, 600, 3)
+    cold = PanelStatistics(panel, frame=frame, source=source)
+    before = (cold.group_mi([4], [2, 3]), cold.pair_mi(2, 4))
+    warm = PanelStatistics(panel, frame=frame, source=source)
+    warm.mi_matrix()
+    after = (warm.group_mi([4], [2, 3]), warm.pair_mi(2, 4))
+
+    def ld(buses):
+        idx = [j for b in buses for j in cold.slices[b]]
+        return float(np.real(np.linalg.slogdet(cold.cov[np.ix_(idx, idx)])[1]))
+
+    direct = (0.5 * (ld([4]) + ld([2, 3]) - ld([4, 2, 3])),
+              0.5 * (ld([2]) + ld([4]) - ld([2, 4])))
+    assert before == after == direct
 
 
 def test_statistics_require_enough_samples(bus8, bus8_spec):
@@ -526,6 +546,14 @@ def test_mi_breakdown_magnitude_only_drops_angle_terms(bus8, bus8_spec):
     assert a > 0
 
 
+def test_mi_breakdown_rejects_a_duplicated_channel(bus8, bus8_spec):
+    volts = integrate_voltages(_inc(bus8, bus8_spec, 1500, 7))
+    first, second = volts.slots(2)[:2]
+    volts.values[:, 2, second] = volts.values[:, 2, first]
+    with pytest.raises(SingularCovarianceError):
+        mi_breakdown(volts, 1, 2)
+
+
 # -- substation usability gate -------------------------------------------
 
 
@@ -614,7 +642,7 @@ def test_exact_mi_on_small_random_feeders(small_random_feeders):
 
 
 def test_mi_matrix_csv_round_trip(bus8, bus8_spec):
-    est = mi_matrix(_inc(bus8, bus8_spec, 300, 8))
+    est = PanelStatistics(_inc(bus8, bus8_spec, 300, 8)).mi_matrix()
     buf = io.StringIO()
     est.to_csv(buf)
     assert buf.getvalue().splitlines()[0] == "bus_i,bus_j,mi_nats"

@@ -1,7 +1,8 @@
-"""Every gridtopo name the benchmark and the demos import must resolve.
+"""Every gridtopo name the benchmark, the demos and the README import must resolve.
 
-The files are parsed, not run, so the check is cheap and a removed or
-renamed export fails here instead of inside a benchmark run or a demo.
+The files (and the README's python blocks) are parsed, not run, so the
+check is cheap and a removed or renamed export fails here instead of
+inside a benchmark run, a demo or a reader's copy of the quick start.
 """
 
 import ast
@@ -12,12 +13,26 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
-def _gridtopo_imports(path):
-    """(line, module, name) for each gridtopo import in a script; name None for `import m`."""
+def _readme_blocks():
+    """(first line, source) of each python code block in the README."""
+    lines = README.read_text().splitlines()
+    blocks, start = [], None
+    for n, line in enumerate(lines, 1):
+        if start is None and line.strip() == "```python":
+            start = n + 1
+        elif start is not None and line.strip() == "```":
+            blocks.append((start, "\n".join(lines[start - 1:n - 1])))
+            start = None
+    return blocks
+
+
+def _gridtopo_imports(source, filename):
+    """(line, module, name) for each gridtopo import in source; name None for `import m`."""
     out = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(ast.parse(source, filename=filename)):
         if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module \
                 and node.module.split(".")[0] == "gridtopo":
             out += [(node.lineno, node.module, alias.name) for alias in node.names]
@@ -46,6 +61,19 @@ def test_scripts_are_found():
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_gridtopo_import_resolves(path):
     missing = [f"line {line}: from {module} import {name}"
-               for line, module, name in _gridtopo_imports(path)
+               for line, module, name in _gridtopo_imports(path.read_text(), str(path))
                if not _resolves(module, name)]
     assert not missing, f"{path.name}: {missing}"
+
+
+def test_readme_blocks_import_gridtopo():
+    assert any(_gridtopo_imports(src, "README.md") for _, src in _readme_blocks())
+
+
+@pytest.mark.parametrize("start, source", [pytest.param(start, source, id=f"README.md:{start}")
+                                           for start, source in _readme_blocks()])
+def test_every_readme_gridtopo_import_resolves(start, source):
+    missing = [f"README.md line {start + line - 1}: from {module} import {name}"
+               for line, module, name in _gridtopo_imports(source, "README.md")
+               if not _resolves(module, name)]
+    assert not missing, missing

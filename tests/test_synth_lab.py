@@ -73,35 +73,39 @@ def test_injection_scaled_targets_only_named_buses(bus8, bus8_spec):
     assert np.array_equal(out.covariances[1], bus8_spec.covariances[1])
 
 
-def test_injection_sample_matches_covariance(bus8, bus8_spec):
-    T = 200_000
-    draws = bus8_spec.sample(bus8, T, seed=5)
-    assert draws.shape == (T, bus8.n_buses, 3)
-    assert np.all(draws[:, 0, :] == 0)
-    for bus in (1, 4):
-        idx = list(bus8_spec.present_slots(bus))
-        x = draws[:, bus, idx]
-        emp = (x.T.conj() @ x).T / T
-        want = bus8_spec.covariances[bus][np.ix_(idx, idx)]
-        assert np.abs(emp - want).max() < 0.05 * np.abs(want).max()
+def _complex_moments(F):
+    """E[x xᴴ] and E[x xᵀ] of x = u + iv when (u, v) has covariance F Fᵀ."""
+    p = F.shape[0] // 2
+    C = F @ F.T
+    uu, uv, vu, vv = C[:p, :p], C[:p, p:], C[p:, :p], C[p:, p:]
+    return (uu + vv) + 1j * (vu - uv), (uu - vv) + 1j * (vu + uv)
+
+
+@pytest.mark.parametrize("reactive_ratio", [None, 0.5])
+def test_real_factor_gives_each_bus_its_complex_covariance(bus8, reactive_ratio):
+    spec = InjectionSpec.random(bus8, seed=1, reactive_ratio=reactive_ratio)
+    assert spec._real_factor(0) is None
+    eps = np.finfo(float).eps
+    for b in bus8.non_slack_ids:
+        idx = list(spec.present_slots(b))
+        want = spec.covariances[b][np.ix_(idx, idx)]
+        herm, _ = _complex_moments(spec._real_factor(b))
+        assert np.abs(herm - want).max() <= 4 * eps * np.abs(want).max()
 
 
 def test_reactive_ratio_produces_pseudo_covariance(bus8):
     circ = InjectionSpec.random(bus8, seed=1)
     direc = InjectionSpec.random(bus8, seed=1, reactive_ratio=0.5)
-    T = 100_000
-    a = circ.sample(bus8, T, seed=2)[:, 1, :]
-    b = direc.sample(bus8, T, seed=2)[:, 1, :]
-    pseudo_a = (a.T @ a).T / T
-    pseudo_b = (b.T @ b).T / T
-    scale = np.abs((a.conj().T @ a) / T).max()
-    assert np.abs(pseudo_a).max() < 0.05 * scale
-    assert np.abs(pseudo_b).max() > 0.25 * scale
-    # the ordinary complex covariance stays what the injection covariances say
-    herm_b = (b.conj().T @ b).T / T
-    idx = list(circ.present_slots(1))
-    want = circ.covariances[1][np.ix_(idx, idx)]
-    assert np.abs(herm_b[np.ix_(idx, idx)] - want).max() < 0.05 * np.abs(want).max()
+    eps = np.finfo(float).eps
+    for b in bus8.non_slack_ids:
+        idx = list(circ.present_slots(b))
+        scale = np.abs(circ.covariances[b][np.ix_(idx, idx)])
+        _, pseudo_circ = _complex_moments(circ._real_factor(b))
+        _, pseudo_direc = _complex_moments(direc._real_factor(b))
+        assert np.abs(pseudo_circ).max() <= 2 * eps * scale.max()
+        # active and reactive streams in ratio k leave (1 - k²)/(1 + k²)
+        # of each entry's modulus in the pseudo-covariance
+        assert np.abs(pseudo_direc) == pytest.approx(0.6 * scale, rel=1e-12)
 
 
 # -- panel generation ----------------------------------------------------
