@@ -79,7 +79,6 @@ from .phase_id import (
     PhaseIdError,
     assign_phases,
     assignment_accuracy,
-    channel_correlation,
     diagnose_labels,
     edge_correlation_margins,
 )

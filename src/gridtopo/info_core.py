@@ -24,11 +24,11 @@ determinants cancel. All values are in nats. Conditional mutual
 information follows from the chain rule,
 I(A; B | Z) = I(A; B, Z) - I(A; Z), as two group_mi calls.
 
-A panel's statistics come from one (T, D) block of channels, gathered
-in a single take through the flattened mask (complex channels through
-their float64 (Re, Im) view), centred once and multiplied once into a
-D×D covariance. The frame and the (Re, Im) feature layout are linear maps
-of each bus's channels, so they are applied to that covariance, one
+A panel's statistics come from one contiguous column range of its
+(T, D) channel block, gathered in a single take (complex channels
+through their float64 (Re, Im) view), centred once and multiplied once
+into a D×D covariance. The frame and the (Re, Im) feature layout are
+linear maps of each bus's channels, so they are applied to that covariance, one
 bus block at a time (C <- B C Bᴴ with B block-diagonal), and the
 standardisation is a diagonal rescale of the result. No step after the
 gather touches the T×D data.
@@ -155,23 +155,24 @@ def _congruence(C, blocks):
 def _gather_cov(panel, bus_ids, source):
     """Sample covariance of the claimed channels of bus_ids.
 
-    The gather layout lists the buses in ascending order, each as the
-    Re parts of its claimed slots then their Im parts (complex source)
-    or as one magnitude per claimed slot.
+    bus_ids is an ascending run of buses, so their channels are one
+    contiguous range of panel columns. The gather layout lists the
+    buses in that order, each as the Re parts of its claimed slots then
+    their Im parts (complex source) or as one magnitude per claimed slot.
     """
-    masks = np.zeros_like(panel.masks)
-    masks[bus_ids] = panel.masks[bus_ids]
+    lo, hi = panel.columns(bus_ids[0]).start, panel.columns(bus_ids[-1]).stop
     n = panel.n_samples
-    rows = np.ascontiguousarray(panel.values).reshape(n, -1)
+    rows = np.ascontiguousarray(panel.values)
     parts = rows.view(np.float64)
     if source == "complex":
-        # column of (bus, part, slot) in the (Re, Im) view
-        grid = np.arange(parts.shape[1]).reshape(-1, 3, 2).transpose(0, 2, 1)
-        X = np.take(parts, grid[np.broadcast_to(masks[:, None, :], grid.shape)], axis=1)
+        # (Re, Im) view positions in (bus, part, column) order
+        col = np.arange(2 * (hi - lo)) // 2
+        bus = np.repeat(np.arange(len(bus_ids)), panel.masks[bus_ids].sum(axis=1))[col]
+        X = np.take(parts, 2 * lo + np.lexsort((col, np.arange(col.size) % 2, bus)), axis=1)
     elif panel.magnitude_only:
-        X = np.take(parts, 2 * np.flatnonzero(masks), axis=1)
+        X = np.take(parts, 2 * np.arange(lo, hi), axis=1)
     else:
-        X = np.abs(np.take(rows, np.flatnonzero(masks), axis=1))
+        X = np.abs(np.take(rows, np.arange(lo, hi), axis=1))
     X -= X.mean(axis=0)
     return X.T @ X / (n - 1)
 
@@ -240,10 +241,13 @@ def _full_rank(C, rtol):
 def _slack_has_signal(panel, frame, source):
     """Whether the substation's own feature block is usable.
 
-    It is not when the series is constant (the generator's fixed-voltage
-    convention) or when meter noise rides a constant, which keeps the
-    voltage angle locked so the block loses rank.
+    It is not when the substation has no channels (an unmetered
+    substation), when the series is constant (the generator's
+    fixed-voltage convention) or when meter noise rides a constant,
+    which keeps the voltage angle locked so the block loses rank.
     """
+    if not panel.masks[0].any():
+        return False
     slack, _ = _feature_cov(panel, [0], frame, source)
     if slack.size == 0 or np.any(slack.diagonal().real <= 0.0):
         return False

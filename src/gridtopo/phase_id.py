@@ -32,34 +32,6 @@ MIN_SAMPLES = 30
 _SIG_Z = 3.2905
 
 
-def channel_correlation(parent_mags, child_mags):
-    """Pearson correlation matrix between channel series.
-
-    Inputs are (N, P) and (N, C) arrays of aligned magnitude series;
-    output is (P, C). Zero-variance channels give NaN entries, which the
-    matcher treats as uninformative rather than as evidence.
-    """
-    a = np.asarray(parent_mags, dtype=float)
-    b = np.asarray(child_mags, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if a.shape[0] != b.shape[0]:
-        raise PhaseIdError("series must share the sample axis")
-    if a.shape[0] < MIN_SAMPLES:
-        raise PhaseIdError(f"need at least {MIN_SAMPLES} samples, got {a.shape[0]}")
-    a = a - a.mean(axis=0)
-    b = b - b.mean(axis=0)
-    sa = np.sqrt(np.sum(a * a, axis=0))
-    sb = np.sqrt(np.sum(b * b, axis=0))
-    out = a.T @ b
-    scale = np.outer(sa, sb)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(scale > 0.0, out / np.where(scale > 0.0, scale, 1.0), np.nan)
-    return out
-
-
 @dataclass
 class PhaseAssignment:
     """Recovered channel-to-phase maps with per-bus confidence.
@@ -92,16 +64,33 @@ class PhaseAssignment:
                     w.writerow([bus, ch, PHASES[ph], mtxt])
 
 
-def _magnitude_increments(panel, bus_id, use_increments=True):
-    x = panel.channels(bus_id)
-    mags = x.real if panel.magnitude_only else np.abs(x)
+def _unit_series(panel, use_increments=True):
+    """Channel-major block of centred magnitude series, each of unit norm.
+
+    Row j is channel j of the panel (columns(b) names a bus's rows), so
+    the product of two buses' row blocks is their Pearson correlation
+    matrix. A zero-variance channel's row is NaN, and so is every
+    correlation it enters: the matcher treats those as uninformative
+    rather than as evidence.
+    """
     if panel.kind == "increment":
         # already differenced upstream; magnitudes of increments are not
         # the same signal, so insist on a voltage panel unless told not to
         raise PhaseIdError("phase identification expects a voltage panel")
+    mags = panel.values.real if panel.magnitude_only else np.abs(panel.values)
     if use_increments:
-        return np.diff(mags, axis=0)
-    return mags
+        mags = np.diff(mags, axis=0)
+    if mags.shape[0] < MIN_SAMPLES:
+        raise PhaseIdError(f"need at least {MIN_SAMPLES} samples, got {mags.shape[0]}")
+    z = np.ascontiguousarray((mags - mags.mean(axis=0)).T)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z /= np.sqrt(np.sum(z * z, axis=1))[:, None]
+    return z
+
+
+def _edge_correlation(z, panel, parent, child):
+    """(P, C) Pearson correlations of two buses' channels, read from z."""
+    return z[panel.columns(parent)] @ z[panel.columns(child)].T
 
 
 def assign_phases(tree, panel, use_increments=True):
@@ -127,12 +116,11 @@ def assign_phases(tree, panel, use_increments=True):
         where = "is not in the measurements" if bus in named else "is missing from the tree"
         raise PhaseIdError(f"topology does not match the measurements: bus {bus} {where}")
     out = PhaseAssignment()
-    mseries = {}
-
-    def series(bus):
-        if bus not in mseries:
-            mseries[bus] = _magnitude_increments(panel, bus, use_increments)
-        return mseries[bus]
+    z = _unit_series(panel, use_increments)
+    # keep only statistically significant entries, in either direction;
+    # meter noise on an otherwise constant series produces finite but
+    # meaningless correlations
+    floor = _SIG_Z / math.sqrt(z.shape[1])
 
     # substation: claimed labels trusted
     root_slots = panel.slots(0)
@@ -148,11 +136,7 @@ def assign_phases(tree, panel, use_increments=True):
             parent_phases = ()
         corr = None
         if len(parent_phases) > 0:
-            corr = channel_correlation(series(parent), series(child))
-            # keep only statistically significant entries, in either
-            # direction; meter noise on an otherwise constant series
-            # produces finite but meaningless correlations
-            floor = _SIG_Z / math.sqrt(series(parent).shape[0])
+            corr = _edge_correlation(z, panel, parent, child)
             with np.errstate(invalid="ignore"):
                 corr = np.where(np.abs(corr) >= floor, corr, np.nan)
         n_child = len(claimed)
@@ -236,12 +220,11 @@ def edge_correlation_margins(tree, panel, use_increments=True):
     work; the minimum over edges is the robustness figure.
     """
     margins = {}
+    z = _unit_series(panel, use_increments)
     for parent, child in tree.oriented():
         if parent == 0:
             continue
-        pm = _magnitude_increments(panel, parent, use_increments)
-        cm = _magnitude_increments(panel, child, use_increments)
-        corr = channel_correlation(pm, cm)
+        corr = _edge_correlation(z, panel, parent, child)
         p_phase = panel.true_phases(parent)
         c_phase = panel.true_phases(child)
         same = []

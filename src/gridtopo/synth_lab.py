@@ -153,12 +153,13 @@ def _chol_psd(mat):
 class VoltagePanel:
     """Time series of per-bus per-phase voltages or voltage increments.
 
-    values: (T, n_buses, 3) complex. Slots outside the claimed mask are
-    zero. For magnitude-only panels the values are real magnitudes
-    stored in the real part and the angle is undefined (exported empty).
-    labels[b, s] gives the true phase index of the data sitting in
-    claimed slot s, so corrupted panels keep their ground truth; -1
-    marks an empty slot.
+    values: (T, D) complex, one column per claimed slot of masks
+    (n_buses, 3), bus by bus and then slot by slot; columns(b) is the
+    one map from a bus to its columns. For magnitude-only panels the
+    values are real magnitudes stored in the real part and the angle is
+    undefined (exported empty). labels[b, s] gives the true phase index
+    of the data sitting in claimed slot s, so corrupted panels keep
+    their ground truth; -1 marks an empty slot.
     """
 
     values: np.ndarray
@@ -171,10 +172,11 @@ class VoltagePanel:
         self.values = np.asarray(self.values, dtype=complex)
         self.masks = np.asarray(self.masks, dtype=bool)
         self.labels = np.asarray(self.labels, dtype=np.int8)
-        if self.values.ndim != 3 or self.values.shape[2] != 3:
-            raise SynthError("values must have shape (T, n_buses, 3)")
-        if self.masks.shape != self.values.shape[1:] or self.labels.shape != self.masks.shape:
+        if self.masks.ndim != 2 or self.masks.shape[1] != 3 or self.labels.shape != self.masks.shape:
             raise SynthError("masks and labels must have shape (n_buses, 3)")
+        if self.values.ndim != 2 or self.values.shape[1] != self.masks.sum():
+            raise SynthError(f"values must have shape (T, {int(self.masks.sum())}), one "
+                             f"column per claimed channel; got {self.values.shape}")
         if self.kind not in ("voltage", "increment"):
             raise SynthError(f"unknown panel kind {self.kind!r}")
 
@@ -184,14 +186,19 @@ class VoltagePanel:
 
     @property
     def n_buses(self):
-        return self.values.shape[1]
+        return self.masks.shape[0]
 
     def slots(self, bus_id):
         return tuple(int(s) for s in np.flatnonzero(self.masks[bus_id]))
 
+    def columns(self, bus_id):
+        """Columns of values holding bus_id's claimed channels, slot order."""
+        lo = int(self.masks[:bus_id].sum())
+        return range(lo, lo + int(self.masks[bus_id].sum()))
+
     def channels(self, bus_id):
         """(T, p) series of the claimed slots, ascending slot order."""
-        return self.values[:, bus_id, self.masks[bus_id]]
+        return self.values[:, self.columns(bus_id)]
 
     def copy(self):
         return VoltagePanel(
@@ -329,20 +336,16 @@ class FeederSampler:
         # at the same seed, which sweeps over data length rely on
         W = rng.standard_normal((T, 2 * D))
         X = W @ self.sampling_matrix.T
-        topo = self.topology
-        B = topo.n_buses
-        values = np.zeros((T, B, 3), dtype=complex)
-        cplx = X[:, :D] + 1j * X[:, D:]
-        for j, (b, s) in enumerate(self.system.coords):
-            values[:, b, s] = cplx[:, j]
-        masks = topo.masks_array()
+        masks = self.topology.masks_array()
+        # the admittance coordinates are the panel columns after the
+        # substation's, in order
+        values = np.zeros((T, int(masks.sum())), dtype=complex)
+        values[:, values.shape[1] - D:] = X[:, :D] + 1j * X[:, D:]
         if slack_sigma > 0.0:
             dv0 = (slack_sigma / math.sqrt(2.0)) * (
                 rng.standard_normal((T, 3)) + 1j * rng.standard_normal((T, 3))
             )
-            for b in topo.buses:
-                idx = list(b.mask.indices)
-                values[:, b.id, idx] += dv0[:, idx]
+            values += dv0[:, np.nonzero(masks)[1]]
         return VoltagePanel(
             values=values, masks=masks, labels=identity_labels(masks),
             kind="increment", magnitude_only=False,
@@ -369,16 +372,12 @@ def integrate_voltages(panel):
     """
     if panel.kind != "increment":
         raise SynthError("integrate_voltages expects an increment panel")
-    T, B, _ = panel.values.shape
-    v0 = np.zeros((B, 3), dtype=complex)
-    for b in range(B):
-        for s in np.flatnonzero(panel.masks[b]):
-            true = int(panel.labels[b, s])
-            true = true if true >= 0 else int(s)
-            v0[b, s] = 1.0 if panel.magnitude_only else np.exp(1j * NOMINAL_ANGLES[true])
-    out = np.zeros((T + 1, B, 3), dtype=complex)
+    T, D = panel.values.shape
+    true = np.where(panel.labels >= 0, panel.labels, np.arange(3))[panel.masks]
+    v0 = np.ones(D) if panel.magnitude_only else np.exp(1j * np.asarray(NOMINAL_ANGLES)[true])
+    out = np.zeros((T + 1, D), dtype=complex)
     out[0] = v0
-    out[1:] = v0[None, :, :] + np.cumsum(panel.values, axis=0)
+    out[1:] = v0 + np.cumsum(panel.values, axis=0)
     res = panel.copy()
     res.values = out
     res.kind = "voltage"
@@ -414,9 +413,7 @@ def apply_noise(panel, noise, seed=0):
     if noise is None or noise.bound == 0.0:
         return out
     rng = np.random.default_rng(seed)
-    T, B, _ = out.values.shape
-    sel = np.broadcast_to(out.masks[None, :, :], out.values.shape)
-    n = int(sel.sum())
+    n = out.values.size
     if noise.distribution == "uniform":
         eps = rng.uniform(-noise.bound, noise.bound, size=n)
     else:
@@ -426,9 +423,7 @@ def apply_noise(panel, noise, seed=0):
         while bad.any():
             eps[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
             bad = np.abs(eps) > noise.bound
-    factor = np.ones(out.values.shape)
-    factor[sel] = 1.0 + eps
-    out.values = out.values * factor
+    out.values = out.values * (1.0 + eps).reshape(out.values.shape)
     return out
 
 
@@ -464,15 +459,14 @@ def corrupt_labels(panel, fraction, seed=0, protect=()):
     chosen = sorted(rng.choice(eligible, size=count, replace=False)) if count else []
     for b in chosen:
         slots = np.flatnonzero(out.masks[b])
+        cols = np.asarray(out.columns(b))
         p = len(slots)
         perm = np.arange(p)
         while np.array_equal(perm, np.arange(p)):
             perm = rng.permutation(p)
         # Data in slot slots[j] moves to slot slots[perm[j]].
-        vals = out.values[:, b, slots].copy()
-        labs = out.labels[b, slots].copy()
-        out.values[:, b, slots[perm]] = vals
-        out.labels[b, slots[perm]] = labs
+        out.values[:, cols[perm]] = out.values[:, cols]
+        out.labels[b, slots[perm]] = out.labels[b, slots]
     return out
 
 
@@ -526,19 +520,20 @@ def panel_to_csv(panel, path_or_buf):
     that reads back to the same float; magnitude-only panels leave the
     angle field empty.
     """
-    mags = np.abs(panel.values)
-    angs = None if panel.magnitude_only else np.degrees(np.angle(panel.values))
+    # channel-major copies, so each channel's series is one contiguous row
+    mags = np.ascontiguousarray(np.abs(panel.values).T)
+    angs = None if panel.magnitude_only else np.ascontiguousarray(
+        np.degrees(np.angle(panel.values)).T)
     stamps = [f"{t}," for t in range(panel.n_samples)]
 
     def write(fh):
         fh.write(",".join(MEASUREMENT_COLUMNS) + "\r\n")
-        for b in range(panel.n_buses):
-            for s in np.flatnonzero(panel.masks[b]):
-                key = f"{b},{PHASES[s]},"
-                m = map(repr, mags[:, b, s].tolist())
-                a = itertools.repeat("") if angs is None else map(repr, angs[:, b, s].tolist())
-                fh.write("".join([f"{ts}{key}{mm},{aa}\r\n"
-                                  for ts, mm, aa in zip(stamps, m, a)]))
+        for j, (b, s) in enumerate(np.argwhere(panel.masks).tolist()):
+            key = f"{b},{PHASES[s]},"
+            m = map(repr, mags[j].tolist())
+            a = itertools.repeat("") if angs is None else map(repr, angs[j].tolist())
+            fh.write("".join([f"{ts}{key}{mm},{aa}\r\n"
+                              for ts, mm, aa in zip(stamps, m, a)]))
 
     if _is_path(path_or_buf):
         with open(path_or_buf, "w", newline="") as fh:
@@ -551,10 +546,11 @@ def panel_from_csv(path_or_buf, kind="voltage"):
     """Read a long-format measurement CSV back into a panel.
 
     Rows may come in any order; every (bus, claimed phase) channel must
-    carry each time step exactly once. The panel is magnitude-only when
-    every angle field is empty; mixed presence is rejected. Labels are
-    the identity: files carry claimed phases, ground truth travels in
-    the separate label sidecar.
+    carry each time step exactly once, and every bus id from 1 to the
+    largest needs rows (the substation may have none). The panel is
+    magnitude-only when every angle field is empty; mixed presence is
+    rejected. Labels are the identity: files carry claimed phases,
+    ground truth travels in the separate label sidecar.
     """
     text = _read_text(path_or_buf)
     cols = _measurement_columns(text)
@@ -563,17 +559,23 @@ def panel_from_csv(path_or_buf, kind="voltage"):
     t, b, slot, mag, ang = cols
     T = int(t.max()) + 1 if t.size else 0
     B = int(b.max()) + 1 if b.size else 0
-    values = np.zeros((T, B, 3), dtype=complex)
-    flat = (t * B + b) * 3 + slot
-    counts = np.bincount(flat, minlength=values.size).reshape(T, B, 3)
+    channel = b * 3 + slot
+    counts = np.bincount(t * (B * 3) + channel, minlength=T * B * 3).reshape(T, B, 3)
     if counts.max(initial=0) > 1:
         _checked_measurement_rows(text)  # names the line of the first duplicate
         raise MeasurementFormatError("duplicate sample")
     masks = counts.any(axis=0)
+    absent = np.flatnonzero(~masks[1:].any(axis=1)) + 1
+    if absent.size:
+        raise MeasurementFormatError(
+            f"no rows for bus{'es' * (absent.size > 1)} {', '.join(map(str, absent))}; "
+            f"every bus 1..{B - 1} needs measurements (only the substation may have none)")
     gaps = np.argwhere(((counts == 0) & masks).transpose(1, 2, 0))
     if gaps.size:
         gb, gs, gt = gaps[0]
         raise MeasurementFormatError(f"missing sample t={gt} bus={gb} phase={PHASES[gs]}")
+    values = np.zeros((T, int(masks.sum())), dtype=complex)
+    flat = t * values.shape[1] + np.cumsum(masks.ravel())[channel] - 1
     cells = values.reshape(-1)
     if ang is None:
         cells.real[flat] = mag

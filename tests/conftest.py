@@ -2,7 +2,9 @@
 
 Acceptance tests register one line per criterion through the
 `criteria` fixture; the terminal summary prints them in order so a
-full run ends with a compact pass/fail table.
+full run ends with a compact pass/fail table. padded and unpadded
+convert between a panel's (T, D) channel block and the (T, n_buses, 3)
+slot grid that some tests index by (bus, slot).
 """
 
 import numpy as np
@@ -12,6 +14,18 @@ from gridtopo.feeders import make_feeder, random_feeder
 from gridtopo.synth_lab import InjectionSpec, analytic_cov
 
 _CRITERIA = {}
+
+
+def padded(panel):
+    """(T, n_buses, 3) copy of panel.values, zero outside the claimed slots."""
+    out = np.zeros((panel.n_samples,) + panel.masks.shape, dtype=complex)
+    out[:, panel.masks] = panel.values
+    return out
+
+
+def unpadded(values, masks):
+    """(T, D) channel block of a padded (T, n_buses, 3) array; inverts padded."""
+    return np.asarray(values)[:, np.asarray(masks, dtype=bool)]
 
 
 class CriterionLog:

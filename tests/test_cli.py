@@ -115,6 +115,46 @@ def test_estimate_mesh_reports_chord(tmp_path, capsys):
     assert est.chords == ((5, 7),)
 
 
+def _drop_bus_rows(prefix, bus):
+    """Rewrite the simulated measurement file without any row of one bus."""
+    path = prefix + ".measurements.csv"
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    kept = [ln for ln in lines if ln.split(",")[1] != str(bus)]
+    assert len(kept) < len(lines)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(kept)
+    return path
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+def test_estimate_names_a_bus_without_rows(tmp_path, capsys, frame):
+    meas = _drop_bus_rows(_simulate(tmp_path, samples=200), 4)
+    out = tmp_path / "est.csv"
+    rc = main(["estimate", "--measurements", meas, "--frame", frame,
+               "--root", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no rows for bus 4;" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frame", ["phase", "sequence"])
+def test_estimate_runs_without_substation_rows(tmp_path, capsys, frame):
+    meas = _drop_bus_rows(_simulate(tmp_path), 0)
+    out = str(tmp_path / "est.csv")
+    rc = main(["estimate", "--measurements", meas, "--frame", frame,
+               "--root", "1", "--out", out])
+    assert rc == 0
+    est = estimate_from_csv(out)
+    assert set(est.edges) == set(make_feeder("bus8").edge_set(include_root=False))
+    assert est.root_edge == (0, 1)
+    # with no substation channels there is nothing to root from
+    rc = main(["estimate", "--measurements", meas, "--frame", frame, "--out", out])
+    assert rc == 1
+    assert "unrooted" in capsys.readouterr().err
+
+
 def test_estimate_malformed_csv_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,bus_id,phase,magnitude_pu,angle_deg\n0,0,a,not_a_number,0\n")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import padded, unpadded
 from gridtopo.feeders import random_feeder
 from gridtopo.info_core import (
     SEQ_H_INV,
@@ -92,7 +93,7 @@ def _two_bus_panel(x, y):
     masks[0] = True
     masks[1, :x.shape[1]] = True
     masks[2, :y.shape[1]] = True
-    return VoltagePanel(values=values, masks=masks, labels=identity_labels(masks),
+    return VoltagePanel(values=unpadded(values, masks), masks=masks, labels=identity_labels(masks),
                         kind="increment", magnitude_only=False)
 
 
@@ -348,8 +349,10 @@ def test_exact_mi_matrix_equals_the_per_pair_loop_bit_for_bit(small_random_feede
 
 def test_mi_matrix_names_every_singular_pair(bus8, bus8_spec):
     panel = _inc(bus8, bus8_spec, 600, 16)
+    grid = padded(panel)
     for a, b in ((2, 5), (3, 7)):
-        panel.values[:, b, panel.slots(b)[0]] = panel.values[:, a, panel.slots(a)[0]]
+        grid[:, b, panel.slots(b)[0]] = grid[:, a, panel.slots(a)[0]]
+    panel.values = unpadded(grid, panel.masks)
     with pytest.raises(MIComputationError) as err:
         PanelStatistics(panel).mi_matrix()
     assert err.value.failures == [(2, 5), (3, 7)]
@@ -396,8 +399,10 @@ def test_constant_slack_is_left_out_of_the_gather(bus8, bus8_spec, frame, source
 @pytest.mark.parametrize("source", ["complex", "magnitude"])
 def test_zero_variance_error_names_the_reference_buses(bus8, bus8_spec, frame, source):
     panel = _inc(bus8, bus8_spec, 241, 14)
-    panel.values[:, 3, :] = 0.0
-    panel.values[:, 5, 1] = 0.0
+    grid = padded(panel)
+    grid[:, 3, :] = 0.0
+    grid[:, 5, 1] = 0.0
+    panel.values = unpadded(grid, panel.masks)
     with pytest.raises(SingularCovarianceError) as want:
         _reference_statistics(panel, frame, source)
     with pytest.raises(SingularCovarianceError) as got:
@@ -408,9 +413,9 @@ def test_zero_variance_error_names_the_reference_buses(bus8, bus8_spec, frame, s
 
 def test_panel_statistics_accepts_strided_values(bus8, bus8_spec):
     panel = _inc(bus8, bus8_spec, 200, 18)
-    wide = np.zeros(panel.values.shape[:2] + (6,), dtype=complex)
-    wide[..., ::2] = panel.values
-    strided = dataclasses.replace(panel, values=wide[..., ::2])
+    wide = np.zeros((panel.n_samples, 2 * panel.values.shape[1]), dtype=complex)
+    wide[:, ::2] = panel.values
+    strided = dataclasses.replace(panel, values=wide[:, ::2])
     for frame in ("phase", "sequence"):
         want = PanelStatistics(panel, frame=frame).cov
         assert np.array_equal(PanelStatistics(strided, frame=frame).cov, want)
@@ -501,7 +506,9 @@ def test_ridge_adds_to_the_standardized_diagonal(bus8, bus8_spec):
 
 def test_ridge_rescues_a_duplicated_channel(bus8, bus8_spec):
     panel = _inc(bus8, bus8_spec, 600, 16)
-    panel.values[:, 2, 1] = panel.values[:, 2, 0]
+    grid = padded(panel)
+    grid[:, 2, 1] = grid[:, 2, 0]
+    panel.values = unpadded(grid, panel.masks)
     with pytest.raises(SingularCovarianceError):
         PanelStatistics(panel).mi_matrix()
     mi = PanelStatistics(panel, ridge=1e-3).mi_matrix()
@@ -549,7 +556,9 @@ def test_mi_breakdown_magnitude_only_drops_angle_terms(bus8, bus8_spec):
 def test_mi_breakdown_rejects_a_duplicated_channel(bus8, bus8_spec):
     volts = integrate_voltages(_inc(bus8, bus8_spec, 1500, 7))
     first, second = volts.slots(2)[:2]
-    volts.values[:, 2, second] = volts.values[:, 2, first]
+    grid = padded(volts)
+    grid[:, 2, second] = grid[:, 2, first]
+    volts.values = unpadded(grid, volts.masks)
     with pytest.raises(SingularCovarianceError):
         mi_breakdown(volts, 1, 2)
 
@@ -573,7 +582,9 @@ def test_substation_rejects_noise_on_constant(bus8, bus8_spec):
 def test_substation_rejects_independent_series(bus8, bus8_spec, rng):
     panel = _inc(bus8, bus8_spec, 2000, 2)
     jitter = rng.standard_normal((2000, 3)) + 1j * rng.standard_normal((2000, 3))
-    panel.values[:, 0, :] = 1e-4 * jitter
+    grid = padded(panel)
+    grid[:, 0, :] = 1e-4 * jitter
+    panel.values = unpadded(grid, panel.masks)
     assert substation_mi(panel) is None
 
 
@@ -600,9 +611,11 @@ def test_substation_mi_reads_the_estimator_statistics(bus8, bus8_spec, frame, so
 def test_substation_points_at_copied_bus(bus8, bus8_spec, rng):
     panel = _inc(bus8, bus8_spec, 2000, 4)
     src = 1
-    scale = np.abs(panel.values[:, src, :]).std()
+    grid = padded(panel)
+    scale = np.abs(grid[:, src, :]).std()
     jitter = rng.standard_normal((2000, 3)) + 1j * rng.standard_normal((2000, 3))
-    panel.values[:, 0, :] = panel.values[:, src, :] + 0.1 * scale * jitter
+    grid[:, 0, :] = grid[:, src, :] + 0.1 * scale * jitter
+    panel.values = unpadded(grid, panel.masks)
     out = substation_mi(panel)
     assert out is not None
     assert max(out, key=out.get) == src

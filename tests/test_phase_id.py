@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from gridtopo.grid_model import Branch, Bus, GridTopology, LineModel, PhaseMask
+from conftest import padded
+from gridtopo.feeders import make_feeder
 from gridtopo.phase_id import (
     MIN_SAMPLES,
     PhaseIdError,
     assign_phases,
     assignment_accuracy,
-    channel_correlation,
     check_resistive_premise,
     diagnose_labels,
+    _edge_correlation,
+    _unit_series,
     edge_correlation_margins,
 )
 from gridtopo.synth_lab import (
+    InjectionSpec,
     corrupt_labels,
     generate_increments,
     integrate_voltages,
@@ -35,32 +39,51 @@ def _volts(topo, spec, T, seed):
     return integrate_voltages(generate_increments(topo, spec, T=T, seed=seed))
 
 
-# -- channel correlation -------------------------------------------------
+# -- correlation block -----------------------------------------------
 
 
-def test_identical_series_correlate_perfectly(rng):
-    x = rng.standard_normal((500, 3))
-    corr = channel_correlation(x, x)
-    assert np.allclose(np.diag(corr), 1.0, atol=1e-12)
+def _corrcoef_blocks(tree, volts):
+    """(parent, child) -> per-edge np.corrcoef block of the two buses' d|V| series."""
+    grid = np.abs(padded(volts))
+    out = {}
+    for parent, child in tree.oriented():
+        p = np.diff(grid[:, parent, volts.slots(parent)], axis=0)
+        c = np.diff(grid[:, child, volts.slots(child)], axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = np.corrcoef(p, c, rowvar=False)
+        out[(parent, child)] = corr[:p.shape[1], p.shape[1]:]
+    return out
 
 
-def test_zero_variance_channel_gives_nan(rng):
-    x = rng.standard_normal((200, 2))
-    y = x.copy()
-    y[:, 1] = 5.0
-    corr = channel_correlation(x, y)
-    assert np.all(np.isnan(corr[:, 1]))
-    assert np.all(np.isfinite(corr[:, 0]))
+@pytest.mark.parametrize("name", ["bus8", "bus33"])
+def test_correlation_blocks_match_corrcoef(name):
+    topo = make_feeder(name)
+    volts = _volts(topo, InjectionSpec.random(topo, seed=5), 1500, 2)
+    tree = _true_tree(topo)
+    ref = _corrcoef_blocks(tree, volts)
+    z = _unit_series(volts)
+    for (parent, child), block in ref.items():
+        got = _edge_correlation(z, volts, parent, child)
+        # the constant substation gives NaN on both sides
+        np.testing.assert_allclose(got, block, rtol=0, atol=1e-12, equal_nan=True)
+        assert np.isnan(block).all() == (parent == 0)
+    # edge_correlation_margins reads the same blocks
+    margins = edge_correlation_margins(tree, volts)
+    assert margins
+    for (parent, child), m in margins.items():
+        block = ref[(parent, child)]
+        same = [block[i, j] for i, pp in enumerate(volts.true_phases(parent))
+                for j, cc in enumerate(volts.true_phases(child)) if pp == cc]
+        cross = [block[i, j] for i, pp in enumerate(volts.true_phases(parent))
+                 for j, cc in enumerate(volts.true_phases(child)) if pp != cc]
+        assert abs(m - (min(same) - (max(cross) if cross else -1.0))) <= 1e-12
 
 
-def test_correlation_shape_and_errors(rng):
-    a = rng.standard_normal((100, 3))
-    b = rng.standard_normal((100, 2))
-    assert channel_correlation(a, b).shape == (3, 2)
-    with pytest.raises(PhaseIdError):
-        channel_correlation(a, rng.standard_normal((90, 2)))
-    with pytest.raises(PhaseIdError):
-        channel_correlation(a[: MIN_SAMPLES - 1], b[: MIN_SAMPLES - 1])
+def test_too_few_samples_rejected(bus8, bus8_spec):
+    volts = _volts(bus8, bus8_spec, MIN_SAMPLES - 1, 0)  # MIN_SAMPLES voltages
+    with pytest.raises(PhaseIdError, match="at least"):
+        assign_phases(_true_tree(bus8), volts)
+    assert assign_phases(_true_tree(bus8), _volts(bus8, bus8_spec, MIN_SAMPLES, 0))
 
 
 # -- label propagation ---------------------------------------------------
@@ -107,7 +130,8 @@ def test_corrupted_labels_are_found_and_fixed(bus8, bus8_spec):
 
 def test_dead_parent_marks_subtree_unknown(bus8, bus8_spec):
     volts = _volts(bus8, bus8_spec, 1500, 0)
-    volts.values[:, 3, :] = volts.values[0, 3, :]
+    cols = volts.columns(3)
+    volts.values[:, cols] = volts.values[0, cols]
     out = assign_phases(_true_tree(bus8), volts)
     assert out.statuses[3] == "unknown"
     for child in bus8.children_of(3):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import padded, unpadded
 from gridtopo.feeders import make_feeder, random_feeder
 from gridtopo.synth_lab import (
     FeederSampler,
@@ -116,7 +117,7 @@ def test_generate_increments_shape_and_slack(bus8, bus8_spec):
     assert panel.kind == "increment"
     assert panel.n_samples == 64
     assert panel.n_buses == bus8.n_buses
-    assert np.all(panel.values[:, 0, :] == 0)
+    assert np.all(padded(panel)[:, 0, :] == 0)
     assert np.array_equal(panel.masks, bus8.masks_array())
     assert np.array_equal(panel.labels, identity_labels(panel.masks))
 
@@ -129,7 +130,7 @@ def test_generate_increments_prefix_stable(bus8, bus8_spec):
 
 def test_slack_sigma_puts_noise_on_the_slack(bus8, bus8_spec):
     panel = generate_increments(bus8, bus8_spec, T=32, seed=1, slack_sigma=0.01)
-    assert np.abs(panel.values[:, 0, :]).max() > 0
+    assert np.abs(padded(panel)[:, 0, :]).max() > 0
 
 
 def test_sampler_analytic_matches_module_helper(bus8, bus8_spec):
@@ -144,9 +145,10 @@ def test_sample_covariance_approaches_analytic(bus8, bus8_spec, bus8_analytic):
     panel = generate_increments(bus8, bus8_spec, T=T, seed=3)
     D = bus8_analytic.dim
     x = np.empty((T, 2 * D))
+    grid = padded(panel)
     for j, (bus, slot) in enumerate(bus8_analytic.coords):
-        x[:, j] = panel.values[:, bus, slot].real
-        x[:, D + j] = panel.values[:, bus, slot].imag
+        x[:, j] = grid[:, bus, slot].real
+        x[:, D + j] = grid[:, bus, slot].imag
     emp = np.cov(x, rowvar=False, ddof=1)
     scale = np.abs(bus8_analytic.real).max()
     assert np.abs(emp - bus8_analytic.real).max() < 0.05 * scale
@@ -179,7 +181,7 @@ def test_integrate_rejects_voltage_panel(bus8, bus8_spec):
 def test_flat_start_sits_at_nominal_angles(bus8, bus8_spec):
     inc = generate_increments(bus8, bus8_spec, T=4, seed=2)
     volts = integrate_voltages(inc)
-    v0 = volts.values[0]
+    v0 = padded(volts)[0]
     for b in range(volts.n_buses):
         for s in volts.slots(b):
             assert abs(abs(v0[b, s]) - 1.0) < 1e-12
@@ -192,6 +194,108 @@ def test_to_magnitude_drops_angles(bus8, bus8_spec):
     assert mag.magnitude_only
     assert np.allclose(mag.values.real, np.abs(volts.values), atol=1e-15)
     assert np.all(mag.values.imag == 0)
+
+
+# -- channel layout ------------------------------------------------------
+
+
+def test_panel_refuses_values_of_the_wrong_width():
+    masks = np.array([[True, True, True], [False, True, False]])
+    labels = identity_labels(masks)
+    assert VoltagePanel(values=np.zeros((5, 4)), masks=masks, labels=labels).n_buses == 2
+    for bad in (np.zeros((5, 3)), np.zeros((5, 5)), np.zeros((5, 2, 3)), np.zeros(4)):
+        with pytest.raises(SynthError, match="values"):
+            VoltagePanel(values=bad, masks=masks, labels=labels)
+
+
+@pytest.mark.parametrize("name", ["bus8", "bus13", "bus123"])
+def test_columns_tile_the_channel_block_in_bus_order(name):
+    masks = make_feeder(name).masks_array()
+    panel = VoltagePanel(values=np.zeros((1, masks.sum())), masks=masks,
+                         labels=identity_labels(masks))
+    assert [c for b in range(panel.n_buses) for c in panel.columns(b)] == \
+        list(range(masks.sum()))
+    assert [len(panel.columns(b)) for b in range(panel.n_buses)] == masks.sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("name", ["bus8", "bus13"])
+def test_sampler_columns_are_the_admittance_coordinates(name):
+    topo = make_feeder(name)
+    sampler = FeederSampler(topo, InjectionSpec.random(topo, seed=2))
+    T, seed, D = 50, 21, sampler.D
+    panel = sampler.increments(T, seed=seed)
+    X = np.random.default_rng(seed).standard_normal((T, 2 * D)) @ sampler.sampling_matrix.T
+    first = len(panel.columns(0))
+    for j, (b, s) in enumerate(sampler.system.coords):
+        col = panel.columns(b)[panel.slots(b).index(s)]
+        assert col == first + j
+        assert np.array_equal(panel.values[:, col], X[:, j] + 1j * X[:, D + j])
+    # the substation's columns stay zero without slack_sigma
+    assert first > 0 and np.all(panel.channels(0) == 0)
+
+
+def _reference_noise(grid, masks, noise, seed):
+    """apply_noise as written for the (T, n_buses, 3) slot grid."""
+    rng = np.random.default_rng(seed)
+    sel = np.broadcast_to(masks[None, :, :], grid.shape)
+    n = int(sel.sum())
+    if noise.distribution == "uniform":
+        eps = rng.uniform(-noise.bound, noise.bound, size=n)
+    else:
+        sigma = noise.bound / 3.0
+        eps = rng.normal(0.0, sigma, size=n)
+        bad = np.abs(eps) > noise.bound
+        while bad.any():
+            eps[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
+            bad = np.abs(eps) > noise.bound
+    factor = np.ones(grid.shape)
+    factor[sel] = 1.0 + eps
+    return grid * factor
+
+
+def _reference_corrupt(grid, masks, labels, fraction, seed, protect=()):
+    """corrupt_labels as written for the slot grid: (grid, labels)."""
+    grid, labels = grid.copy(), labels.copy()
+    rng = np.random.default_rng(seed)
+    eligible = [b for b in range(1, masks.shape[0])
+                if masks[b].sum() >= 2 and b not in set(protect)]
+    count = min(math.ceil(fraction * (masks.shape[0] - 1)), len(eligible))
+    chosen = sorted(rng.choice(eligible, size=count, replace=False)) if count else []
+    for b in chosen:
+        slots = np.flatnonzero(masks[b])
+        p = len(slots)
+        perm = np.arange(p)
+        while np.array_equal(perm, np.arange(p)):
+            perm = rng.permutation(p)
+        vals = grid[:, b, slots].copy()
+        labs = labels[b, slots].copy()
+        grid[:, b, slots[perm]] = vals
+        labels[b, slots[perm]] = labs
+    return grid, labels
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+def test_noise_matches_the_slot_grid_reference(distribution):
+    topo = make_feeder("bus13")
+    volts = _volt_panel(topo, InjectionSpec.random(topo, seed=1), 300, 4)
+    noise = NoiseSpec(bound=0.01, distribution=distribution)
+    for seed in range(3):
+        got = padded(apply_noise(volts, noise, seed=seed))
+        assert got.tobytes() == _reference_noise(padded(volts), volts.masks, noise,
+                                                 seed).tobytes()
+
+
+def test_corruption_matches_the_slot_grid_reference():
+    topo = make_feeder("bus13")
+    volts = _volt_panel(topo, InjectionSpec.random(topo, seed=1), 60, 4)
+    head = min(topo.children_of(0))
+    for fraction, seed, protect in ((0.3, 0, ()), (0.5, 7, (head,)), (1.0, 3, (head,))):
+        out = corrupt_labels(volts, fraction, seed=seed, protect=protect)
+        grid, labels = _reference_corrupt(padded(volts), volts.masks, volts.labels,
+                                          fraction, seed, protect)
+        assert not np.array_equal(out.labels, volts.labels)
+        assert padded(out).tobytes() == grid.tobytes()
+        assert np.array_equal(out.labels, labels)
 
 
 # -- meter noise ---------------------------------------------------------
@@ -222,26 +326,28 @@ def test_noise_is_multiplicative_and_bounded(bus8, bus8_spec):
     volts = _volt_panel(bus8, bus8_spec, 200, 4)
     for dist in ("uniform", "gaussian"):
         out = apply_noise(volts, NoiseSpec(bound=0.02, distribution=dist), seed=6)
-        sel = np.broadcast_to(volts.masks[None, :, :], volts.values.shape)
-        ratio = np.abs(out.values[sel]) / np.abs(volts.values[sel])
+        vgrid, ogrid = padded(volts), padded(out)
+        sel = np.broadcast_to(volts.masks[None, :, :], vgrid.shape)
+        ratio = np.abs(ogrid[sel]) / np.abs(vgrid[sel])
         assert np.all(ratio >= 1.0 - 0.02 - 1e-12)
         assert np.all(ratio <= 1.0 + 0.02 + 1e-12)
         # angles untouched
-        assert np.allclose(np.angle(out.values[sel]), np.angle(volts.values[sel]),
+        assert np.allclose(np.angle(ogrid[sel]), np.angle(vgrid[sel]),
                            atol=1e-15)
-        assert np.all(out.values[~sel] == 0)
+        assert np.all(ogrid[~sel] == 0)
 
 
 def test_noise_distributions_pass_ks(bus8, bus8_spec):
     volts = _volt_panel(bus8, bus8_spec, 100_000, 4)
-    sel = np.broadcast_to(volts.masks[None, :, :], volts.values.shape)
+    vgrid = padded(volts)
+    sel = np.broadcast_to(volts.masks[None, :, :], vgrid.shape)
     bound = 0.01
     uni = apply_noise(volts, NoiseSpec(bound=bound, distribution="uniform"), seed=8)
-    eps = (np.abs(uni.values[sel]) / np.abs(volts.values[sel]) - 1.0)
+    eps = (np.abs(padded(uni)[sel]) / np.abs(vgrid[sel]) - 1.0)
     stat = scipy.stats.kstest(eps, scipy.stats.uniform(-bound, 2 * bound).cdf)
     assert stat.pvalue > 0.01
     gau = apply_noise(volts, NoiseSpec(bound=bound, distribution="gaussian"), seed=8)
-    eps = (np.abs(gau.values[sel]) / np.abs(volts.values[sel]) - 1.0)
+    eps = (np.abs(padded(gau)[sel]) / np.abs(vgrid[sel]) - 1.0)
     sigma = bound / 3.0
     trunc = scipy.stats.truncnorm(-3.0, 3.0, loc=0.0, scale=sigma)
     stat = scipy.stats.kstest(eps, trunc.cdf)
@@ -282,11 +388,12 @@ def test_corrupt_labels_exact_count(bus8, bus8_spec):
 def test_corrupt_labels_moves_the_data_with_the_truth(bus8, bus8_spec):
     volts = _volt_panel(bus8, bus8_spec, 64, 4)
     out = corrupt_labels(volts, 0.3, seed=1)
+    ogrid, vgrid = padded(out), padded(volts)
     for b in range(volts.n_buses):
         slots = volts.slots(b)
         for s, true in zip(slots, out.true_phases(b)):
-            col = out.values[:, b, s]
-            ref = volts.values[:, b, slots[list(volts.true_phases(b)).index(true)]]
+            col = ogrid[:, b, s]
+            ref = vgrid[:, b, slots[list(volts.true_phases(b)).index(true)]]
             assert np.array_equal(col, ref)
 
 
@@ -403,8 +510,8 @@ def _reference_panel_to_csv(panel):
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(_HEADER.split(","))
-    mags = np.abs(panel.values)
-    angs = np.degrees(np.angle(panel.values))
+    mags = np.abs(padded(panel))
+    angs = np.degrees(np.angle(padded(panel)))
     for b in range(panel.n_buses):
         for s in np.flatnonzero(panel.masks[b]):
             for t in range(panel.n_samples):
@@ -416,7 +523,7 @@ def _reference_panel_to_csv(panel):
 def _assert_same_as_reference(text):
     panel = panel_from_csv(io.StringIO(text))
     values, masks, magnitude_only = _reference_panel_from_csv(text)
-    assert panel.values.tobytes() == values.tobytes()
+    assert padded(panel).tobytes() == values.tobytes()
     assert np.array_equal(panel.masks, masks)
     assert panel.magnitude_only == magnitude_only
     return panel
@@ -428,7 +535,8 @@ def _tiny_panel():
     values[:, 0, 0] = [1.0, -2.0]
     values[:, 1, 1] = [0.5j, -0.25j]
     values[:, 1, 2] = [1e-05, 0.1]
-    return VoltagePanel(values=values, masks=masks, labels=identity_labels(masks))
+    return VoltagePanel(values=unpadded(values, masks), masks=masks,
+                        labels=identity_labels(masks))
 
 
 def test_panel_to_csv_golden_bytes():
@@ -516,6 +624,16 @@ def test_panel_csv_missing_sample_has_no_line():
     assert str(info.value) == "missing sample t=1 bus=2 phase=b"
 
 
+def test_panel_csv_names_every_bus_without_rows():
+    body = _GOOD_ROWS.replace(",1,a,", ",3,a,").replace(",2,b,", ",5,b,")
+    with pytest.raises(MeasurementFormatError, match="no rows for buses 1, 2, 4;") as info:
+        panel_from_csv(io.StringIO(_HEADER + "\n" + body))
+    assert info.value.line_no is None
+    # the substation alone may go unmetered
+    panel = panel_from_csv(io.StringIO(_HEADER + "\n" + _GOOD_ROWS))
+    assert panel.n_buses == 3 and not panel.masks[0].any()
+
+
 @pytest.mark.parametrize("body", [
     _GOOD_ROWS,
     _GOOD_ROWS.replace(",a,", ", A ,").replace(",b,", ",B,"),
@@ -545,5 +663,5 @@ def test_plain_files_take_the_columnar_parse():
 
 def test_panel_csv_empty_data_gives_empty_panel():
     panel = panel_from_csv(io.StringIO(_HEADER + "\r\n\r\n"))
-    assert panel.values.shape == (0, 0, 3)
+    assert padded(panel).shape == (0, 0, 3)
     assert not panel.magnitude_only
