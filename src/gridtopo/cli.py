@@ -52,7 +52,9 @@ def _add_generation_flags(p):
 
 
 def _add_method_flags(p, frame_default="sequence", source_default="auto"):
-    p.add_argument("--frame", default=frame_default, choices=("phase", "sequence"))
+    p.add_argument("--frame", default=frame_default, choices=("phase", "sequence"),
+                   help="label only: MI is invariant under the per-bus "
+                        "symmetrical-component map, so both frames give the same output")
     choices = ("complex", "magnitude") if source_default != "auto" else (
         "complex", "magnitude", "auto")
     p.add_argument("--source", default=source_default, choices=choices)

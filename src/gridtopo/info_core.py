@@ -15,23 +15,24 @@ on statistics built from the pair's polar covariance.
 Complex observations are treated as real vectors of stacked (Re, Im)
 parts. The magnitude source takes the moduli of the complex increments
 per channel (increments of the stored readings when a panel never had
-angles). Magnitude observations in the sequence frame are the one
-exception to real stacking: the transformed vectors are complex images
-of real data, so their real stacking is rank deficient by construction
-and the Hermitian covariance determinant is used instead; the resulting
-score equals the phase-frame magnitude value because the transform
-determinants cancel. All values are in nats. Conditional mutual
-information follows from the chain rule,
-I(A; B | Z) = I(A; B, Z) - I(A; Z), as two group_mi calls.
+angles). All values are in nats. Conditional mutual information
+follows from the chain rule, I(A; B | Z) = I(A; B, Z) - I(A; Z), as
+two group_mi queries.
+
+The frame does not change any value. The symmetrical-component map
+(SEQ_H_INV, restricted to a bus's claimed slots) is an invertible
+linear map of each bus's own channels, and Gaussian mutual information
+between bus blocks is invariant under such maps: their determinants
+cancel between the joint and the marginal log-determinants. So every
+covariance is built from the phase-frame features, and frame only
+labels the results; to_sequence and from_sequence remain for callers
+that want the components themselves.
 
 A panel's statistics come from one contiguous column range of its
 (T, D) channel block, gathered in a single take (complex channels
 through their float64 (Re, Im) view), centred once and multiplied once
-into a D×D covariance. The frame and the (Re, Im) feature layout are
-linear maps of each bus's channels, so they are applied to that covariance, one
-bus block at a time (C <- B C Bᴴ with B block-diagonal), and the
-standardisation is a diagonal rescale of the result. No step after the
-gather touches the T×D data.
+into a D×D covariance, and the standardisation is a diagonal rescale
+of the result. No step after the gather touches the T×D data.
 """
 
 from __future__ import annotations
@@ -122,36 +123,6 @@ def from_sequence(values):
 # ---------------------------------------------------------------------
 
 
-def _sequence_rows(slots):
-    """Rows of SEQ_H_INV kept for a bus with the given claimed slots."""
-    return SEQ_H_INV[:len(slots)][:, list(slots)]
-
-
-def _real_stack(A):
-    """Real form of y = A x on (Re, Im)-stacked coordinates."""
-    return np.block([[A.real, -A.imag], [A.imag, A.real]])
-
-
-def _congruence(C, blocks):
-    """C <- B C Bᴴ in place for a block-diagonal B.
-
-    blocks holds (positions, block) pairs: positions is an (m, w) index
-    array naming m diagonal blocks of width w that share the (w, w)
-    block. Each group is applied to its block rows, then to its block
-    columns, so the cost is O(D² w) where a dense D×D product would
-    cost O(D³).
-    """
-    for pos, B in blocks:
-        w = B.shape[0]
-        rows = pos.T.ravel()
-        C[rows, :] = (B @ C[rows, :].reshape(w, -1)).reshape(rows.size, -1)
-    for pos, B in blocks:
-        w = B.shape[0]
-        cols = pos.ravel()
-        C[:, cols] = (C[:, cols].reshape(-1, w) @ B.conj().T).reshape(-1, cols.size)
-    return C
-
-
 def _gather_cov(panel, bus_ids, source):
     """Sample covariance of the claimed channels of bus_ids.
 
@@ -177,42 +148,19 @@ def _gather_cov(panel, bus_ids, source):
     return X.T @ X / (n - 1)
 
 
-def _frame_cov(cov, bus_ids, present, frame, source):
-    """Map a gather-layout covariance into the frame's features.
-
-    present is the (len(bus_ids), 3) claimed-slot mask of the buses.
-    Returns (cov, slices). cov is real, or complex Hermitian for
-    magnitudes in the sequence frame; slices maps each bus to its
-    feature positions, buses in the given order.
-    """
-    width = 2 if source == "complex" else 1
-    widths = width * present.sum(axis=1)
+def _bus_slices(bus_ids, widths):
+    """Each bus's feature positions, buses laid out in the given order."""
     starts = np.cumsum(widths) - widths
-    slices = {b: list(range(lo, lo + w))
-              for b, lo, w in zip(bus_ids, starts.tolist(), widths.tolist())}
-    if frame == "phase":
-        return cov, slices
-    # Per bus, y = A c with A its sequence rows: complex channels map
-    # (Re c, Im c) to (Re y, Im y); magnitudes m map to the complex
-    # y = A m, whose Hermitian covariance is conj(A) C Aᵀ.
-    if source == "magnitude":
-        cov = cov.astype(complex)
-    pattern = present @ np.array([1, 2, 4])
-    blocks = []
-    for code in np.unique(pattern):
-        members = np.flatnonzero(pattern == code)
-        A = _sequence_rows(np.flatnonzero(present[members[0]]))
-        B = A.conj() if source == "magnitude" else _real_stack(A)
-        blocks.append((starts[members][:, None] + np.arange(len(B)), B))
-    return _congruence(cov, blocks), slices
+    return {b: list(range(lo, lo + w))
+            for b, lo, w in zip(bus_ids, starts.tolist(), widths.tolist())}
 
 
-def _feature_cov(panel, bus_ids, frame, source):
+def _feature_cov(panel, bus_ids, source):
     """Sample covariance of the features of bus_ids, as (cov, slices)."""
     if source == "complex" and panel.magnitude_only:
         raise InfoCoreError("complex source unavailable from a magnitude-only panel")
-    return _frame_cov(_gather_cov(panel, bus_ids, source), bus_ids,
-                      panel.masks[bus_ids], frame, source)
+    widths = (2 if source == "complex" else 1) * panel.masks[bus_ids].sum(axis=1)
+    return _gather_cov(panel, bus_ids, source), _bus_slices(bus_ids, widths)
 
 
 # below this eigenvalue ratio the substation block is treated as
@@ -225,20 +173,13 @@ _SUBSTATION_RANK_RTOL = 1e-6
 _POLAR_RANK_RTOL = 1e-12
 
 
-def _corr_normalize(C):
-    d = np.sqrt(np.real(np.diag(C)))
-    if np.any(d <= 0.0):
-        raise SingularCovarianceError("non-positive variance on the covariance diagonal")
-    return C / np.outer(d, d)
-
-
 def _full_rank(C, rtol):
-    """Whether Hermitian C has a positive top eigenvalue and its bottom one above rtol of it."""
+    """Whether symmetric C has a positive top eigenvalue and its bottom one above rtol of it."""
     eigs = np.linalg.eigvalsh(C)
     return eigs[-1] > 0.0 and eigs[0] > rtol * eigs[-1]
 
 
-def _slack_has_signal(panel, frame, source):
+def _slack_has_signal(panel, source):
     """Whether the substation's own feature block is usable.
 
     It is not when the substation has no channels (an unmetered
@@ -248,10 +189,11 @@ def _slack_has_signal(panel, frame, source):
     """
     if not panel.masks[0].any():
         return False
-    slack, _ = _feature_cov(panel, [0], frame, source)
-    if slack.size == 0 or np.any(slack.diagonal().real <= 0.0):
+    slack, _ = _feature_cov(panel, [0], source)
+    d = np.sqrt(slack.diagonal())
+    if np.any(d <= 0.0):
         return False
-    return _full_rank(_corr_normalize(slack), _SUBSTATION_RANK_RTOL)
+    return _full_rank(slack / np.outer(d, d), _SUBSTATION_RANK_RTOL)
 
 
 def _validate_frame_source(frame, source):
@@ -266,10 +208,11 @@ class PanelStatistics:
 
     The covariance comes from a single gather of every claimed channel
     into a (T, D) block and a single product of the centred block with
-    itself; the frame and (Re, Im) layout are then applied block-wise
-    to the D×D matrix and the features are standardized by a diagonal
-    rescale (population variances, so the diagonal reads n/(n-1), or 1
-    at infinite data).
+    itself; the features are then standardized by a diagonal rescale
+    (population variances, so the diagonal reads n/(n-1), or 1 at
+    infinite data). The covariance is that of the phase-frame features
+    whatever the frame; frame only labels the results (see the module
+    docstring).
     Every mutual-information query then reduces to log-determinants of
     principal submatrices, all taken by one batched primitive
     (_logdets). The all-pairs matrix batches its pairs per joint
@@ -294,9 +237,9 @@ class PanelStatistics:
             raise InfoCoreError(f"ridge must be a finite non-negative number, got {ridge!r}")
         if panel.kind != "increment":
             raise InfoCoreError("statistics expect an increment panel; difference first")
-        first = 0 if _slack_has_signal(panel, frame, source) else 1
+        first = 0 if _slack_has_signal(panel, source) else 1
         bus_ids = list(range(first, panel.n_buses))
-        cov, slices = _feature_cov(panel, bus_ids, frame, source)
+        cov, slices = _feature_cov(panel, bus_ids, source)
         self._standardize(cov, slices, bus_ids, frame, source, panel.n_samples, ridge)
 
     @classmethod
@@ -304,8 +247,8 @@ class PanelStatistics:
         """Exact statistics of the complex source from an AnalyticCovariance.
 
         acov.real is permuted into the gather layout (each bus's Re
-        slots, then its Im slots) and then takes the panel path's frame
-        step and standardisation. n_samples is infinite. The analytic
+        slots, then its Im slots) and then takes the panel path's
+        standardisation. n_samples is infinite. The analytic
         coordinates have no substation, so substation_mi() is None.
         """
         _validate_frame_source(frame, "complex")
@@ -313,12 +256,9 @@ class PanelStatistics:
         for j in sorted(range(acov.dim), key=acov.coords.__getitem__):
             by_bus.setdefault(acov.coords[j][0], []).append(j)
         bus_ids = list(by_bus)
-        present = np.zeros((len(bus_ids), 3), dtype=bool)
-        for row, js in zip(present, by_bus.values()):
-            row[[acov.coords[j][1] for j in js]] = True
         order = [k for js in by_bus.values() for k in js + [j + acov.dim for j in js]]
-        cov, slices = _frame_cov(np.asarray(acov.real, dtype=float)[np.ix_(order, order)],
-                                 bus_ids, present, frame, "complex")
+        cov = np.asarray(acov.real, dtype=float)[np.ix_(order, order)]
+        slices = _bus_slices(bus_ids, np.array([2 * len(js) for js in by_bus.values()]))
         return cls._from_cov(cov, slices, bus_ids, frame, "complex", math.inf)
 
     @classmethod
@@ -331,7 +271,7 @@ class PanelStatistics:
     def _standardize(self, cov, slices, bus_ids, frame, source, n, ridge):
         """Rescale cov to unit population variances and keep it."""
         factor = 1.0 if math.isinf(n) else (n - 1) / n
-        sd = np.sqrt(cov.diagonal().real * factor)
+        sd = np.sqrt(cov.diagonal() * factor)
         dead = set(np.flatnonzero(sd <= 0.0).tolist())
         if dead:
             owners = sorted(b for b in bus_ids if dead.intersection(slices[b]))
@@ -343,7 +283,6 @@ class PanelStatistics:
             cov[np.diag_indices(cov.shape[0])] += ridge
         self.frame = frame
         self.source = source
-        self.hermitian = frame == "sequence" and source == "magnitude"
         self.n_samples = n
         self.dim = cov.shape[0]
         self.cov = cov
@@ -367,7 +306,7 @@ class PanelStatistics:
         mutual information in this module is a difference of these.
         """
         sign, ld = np.linalg.slogdet(self.cov[idx[:, :, None], idx[:, None, :]])
-        return ld, (np.real(sign) > 0) & np.isfinite(ld)
+        return ld, (sign > 0) & np.isfinite(ld)
 
     def _logdet(self, buses):
         """log|det| of the joint block of buses, in the order given.
@@ -454,13 +393,10 @@ class PanelStatistics:
         if 0 not in self.slices or len(self.bus_ids) < 2:
             return None
         out = {b: self.pair_mi(0, b) for b in self.bus_ids if b != 0}
-        # each cross-covariance entry carries two real parameters on the
-        # hermitian (complex) path, one on the stacked real path
-        per_entry = 2 if self.hermitian else 1
         d0 = len(self.slices[0])
         alpha = significance / len(out)
         for b, v in out.items():
-            dof = per_entry * d0 * len(self.slices[b])
+            dof = d0 * len(self.slices[b])
             if v > scipy.stats.chi2.ppf(1.0 - alpha, dof) / (2.0 * self.n_samples):
                 return out
         return None
@@ -561,7 +497,7 @@ def substation_mi(panel, frame="phase", source="complex", significance=1e-3):
     substation carries no usable signal never builds the full statistics.
     """
     _validate_frame_source(frame, source)
-    if not _slack_has_signal(panel, frame, source):
+    if not _slack_has_signal(panel, source):
         return None
     return PanelStatistics(panel, frame=frame, source=source).substation_mi(significance)
 

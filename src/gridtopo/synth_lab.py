@@ -159,7 +159,8 @@ class VoltagePanel:
     values are real magnitudes stored in the real part and the angle is
     undefined (exported empty). labels[b, s] gives the true phase index
     of the data sitting in claimed slot s, so corrupted panels keep
-    their ground truth; -1 marks an empty slot.
+    their ground truth; -1 marks an empty slot. Every bus but the
+    substation (bus 0) claims at least one slot.
     """
 
     values: np.ndarray
@@ -177,6 +178,10 @@ class VoltagePanel:
         if self.values.ndim != 2 or self.values.shape[1] != self.masks.sum():
             raise SynthError(f"values must have shape (T, {int(self.masks.sum())}), one "
                              f"column per claimed channel; got {self.values.shape}")
+        empty = np.flatnonzero(~self.masks[1:].any(axis=1)) + 1
+        if empty.size:
+            raise SynthError(f"no channels at bus{'es' * (empty.size > 1)} "
+                             f"{', '.join(map(str, empty))}; only the substation may have none")
         if self.kind not in ("voltage", "increment"):
             raise SynthError(f"unknown panel kind {self.kind!r}")
 

@@ -4,13 +4,18 @@ Acceptance tests register one line per criterion through the
 `criteria` fixture; the terminal summary prints them in order so a
 full run ends with a compact pass/fail table. padded and unpadded
 convert between a panel's (T, D) channel block and the (T, n_buses, 3)
-slot grid that some tests index by (bus, slot).
+slot grid that some tests index by (bus, slot). dense_reference and
+dense_mi are the explicit exact-MI construction, frame transform
+included, that the kernel's analytic statistics are checked against.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from gridtopo.feeders import make_feeder, random_feeder
+from gridtopo.info_core import SEQ_H_INV
 from gridtopo.synth_lab import InjectionSpec, analytic_cov
 
 _CRITERIA = {}
@@ -26,6 +31,38 @@ def padded(panel):
 def unpadded(values, masks):
     """(T, D) channel block of a padded (T, n_buses, 3) array; inverts padded."""
     return np.asarray(values)[:, np.asarray(masks, dtype=bool)]
+
+
+def dense_reference(acov, frame):
+    """(correlation matrix, {bus: positions}) on the analytic [Re; Im] layout.
+
+    In the sequence frame every bus's coordinates first take the
+    symmetrical-component map, written out as one (2D, 2D) real matrix.
+    """
+    D = acov.dim
+    B = np.eye(2 * D)
+    pos = {b: np.asarray(acov.coord_positions(b)) for b in sorted({b for b, _ in acov.coords})}
+    if frame == "sequence":
+        for b, p in pos.items():
+            A = SEQ_H_INV[:len(p)][:, [acov.coords[j][1] for j in p]]
+            B[np.ix_(p, p)] = A.real
+            B[np.ix_(p, p + D)] = -A.imag
+            B[np.ix_(p + D, p)] = A.imag
+            B[np.ix_(p + D, p + D)] = A.real
+    C = B @ acov.real @ B.T
+    d = np.sqrt(np.diag(C))
+    return C / np.outer(d, d), {b: np.concatenate([p, p + D]) for b, p in pos.items()}
+
+
+def dense_mi(C, pos):
+    """All-pairs MI over the buses of pos in ascending order, one log-determinant per block."""
+    buses = sorted(pos)
+    out = np.zeros((len(buses), len(buses)))
+    ld = lambda idx: np.linalg.slogdet(C[np.ix_(idx, idx)])[1]
+    for i, k in itertools.combinations(range(len(buses)), 2):
+        pi, pk = pos[buses[i]], pos[buses[k]]
+        out[i, k] = out[k, i] = 0.5 * (ld(pi) + ld(pk) - ld(np.concatenate([pi, pk])))
+    return out
 
 
 class CriterionLog:

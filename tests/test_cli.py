@@ -68,6 +68,21 @@ def test_estimate_recovers_tree_exit_zero(tmp_path, capsys):
     assert "mi_nats" in header
 
 
+@pytest.mark.parametrize("source", ["complex", "magnitude"])
+def test_estimate_files_do_not_depend_on_the_frame(tmp_path, source):
+    prefix = _simulate(tmp_path, "--slack-sigma", "0.01")
+    outs = {}
+    for frame in ("phase", "sequence"):
+        out = str(tmp_path / f"{frame}.csv")
+        rc = main(["estimate", "--measurements", prefix + ".measurements.csv",
+                   "--frame", frame, "--source", source, "--out", out])
+        assert rc == 0
+        outs[frame] = out
+    for suffix in ("", ".mi.csv"):
+        with open(outs["phase"] + suffix, "rb") as ph, open(outs["sequence"] + suffix, "rb") as sq:
+            assert ph.read() == sq.read()
+
+
 def test_simulate_writes_the_harness_draw(tmp_path):
     _simulate(tmp_path, "--noise", "0.002", "--label-corruption", "0.3",
               "--slack-sigma", "0.01", samples=300, seed=4)

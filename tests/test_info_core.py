@@ -1,12 +1,11 @@
 import dataclasses
 import io
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import padded, unpadded
+from conftest import dense_mi, dense_reference, padded, unpadded
 from gridtopo.feeders import random_feeder
 from gridtopo.info_core import (
     SEQ_H_INV,
@@ -34,6 +33,7 @@ from gridtopo.synth_lab import (
     integrate_voltages,
     to_magnitude,
 )
+from gridtopo.topo_est import estimate_topology
 
 
 def _exact(real, coords, frame="phase"):
@@ -239,11 +239,12 @@ def test_group_mi_merges_blocks(bus8, bus8_spec):
 
 # -- parity with the per-bus, data-side construction ---------------------
 #
-# PanelStatistics gathers all channels at once and maps the covariance
-# into the frame; the reference below builds each bus's features from
-# its own channels, standardizes the data and multiplies, which is the
-# construction the gathered form replaces. The two differ only in
-# rounding order.
+# PanelStatistics gathers all channels at once into one covariance of
+# the phase-frame features; the reference below builds each bus's
+# features from its own channels, in the requested frame, standardizes
+# the data and multiplies, which is the construction the gathered form
+# replaces. The covariances agree with the phase-frame reference and the
+# MI with the reference in either frame, to rounding.
 
 
 def _reference_features(panel, bus_id, frame, source):
@@ -293,13 +294,13 @@ def _reference_mi(cov, slices):
 
 
 def _assert_parity(panel, frame, source, slack=False):
-    ref_cov, ref_slices = _reference_statistics(panel, frame, source, slack)
+    ref_cov, ref_slices = _reference_statistics(panel, "phase", source, slack)
     stats = PanelStatistics(panel, frame=frame, source=source)
     assert stats.slices == ref_slices
     assert stats.dim == ref_cov.shape[0] and stats.n_samples == panel.n_samples
-    assert stats.cov.dtype == ref_cov.dtype
+    assert stats.cov.dtype == ref_cov.dtype == np.float64
     assert np.abs(stats.cov - ref_cov).max() <= 1e-9 * np.abs(ref_cov).max()
-    ref_mi = _reference_mi(ref_cov, ref_slices)
+    ref_mi = _reference_mi(*_reference_statistics(panel, frame, source, slack))
     got = stats.mi_matrix().values
     assert np.abs(got - ref_mi).max() <= 1e-9 * np.abs(ref_mi).max()
 
@@ -386,9 +387,9 @@ def test_constant_slack_is_left_out_of_the_gather(bus8, bus8_spec, frame, source
     panel = _inc(bus8, bus8_spec, 241, 15)
     stats = PanelStatistics(panel, frame=frame, source=source)
     assert stats.bus_ids == list(range(1, panel.n_buses)) and 0 not in stats.slices
-    cov, slices = _feature_cov(panel, stats.bus_ids, frame, source)
+    cov, slices = _feature_cov(panel, stats.bus_ids, source)
     n = panel.n_samples
-    sd = np.sqrt(cov.diagonal().real * ((n - 1) / n))
+    sd = np.sqrt(cov.diagonal() * ((n - 1) / n))
     cov /= np.outer(sd, sd)
     assert stats.slices == slices
     assert np.array_equal(stats.cov, cov)
@@ -404,11 +405,11 @@ def test_zero_variance_error_names_the_reference_buses(bus8, bus8_spec, frame, s
     grid[:, 5, 1] = 0.0
     panel.values = unpadded(grid, panel.masks)
     with pytest.raises(SingularCovarianceError) as want:
-        _reference_statistics(panel, frame, source)
+        _reference_statistics(panel, "phase", source)
     with pytest.raises(SingularCovarianceError) as got:
         PanelStatistics(panel, frame=frame, source=source)
     assert str(got.value) == str(want.value)
-    assert str(got.value).endswith("[3, 5]" if frame == "phase" else "[3]")
+    assert str(got.value).endswith("[3, 5]")
 
 
 def test_panel_statistics_accepts_strided_values(bus8, bus8_spec):
@@ -423,45 +424,25 @@ def test_panel_statistics_accepts_strided_values(bus8, bus8_spec):
 
 # -- exact statistics from the analytic covariance -----------------------
 #
-# The reference below is the dense construction from_analytic replaces:
-# the whole sequence transform as one (2D, 2D) matrix on the analytic
-# [Re; Im] layout, correlation scaling, and one log-determinant per pair.
-
-
-def _dense_reference(acov, frame):
-    """(correlation matrix, {bus: positions}) on the analytic layout."""
-    D = acov.dim
-    B = np.eye(2 * D)
-    pos = {b: np.asarray(acov.coord_positions(b)) for b in sorted({b for b, _ in acov.coords})}
-    if frame == "sequence":
-        for b, p in pos.items():
-            A = SEQ_H_INV[:len(p)][:, [acov.coords[j][1] for j in p]]
-            B[np.ix_(p, p)] = A.real
-            B[np.ix_(p, p + D)] = -A.imag
-            B[np.ix_(p + D, p)] = A.imag
-            B[np.ix_(p + D, p + D)] = A.real
-    C = B @ acov.real @ B.T
-    d = np.sqrt(np.diag(C))
-    return C / np.outer(d, d), {b: np.concatenate([p, p + D]) for b, p in pos.items()}
+# The reference (conftest.dense_reference) is the dense construction
+# from_analytic replaces: the frame transform as one (2D, 2D) matrix on
+# the analytic [Re; Im] layout, correlation scaling, and one
+# log-determinant per pair. The kernel's covariance is the phase-frame
+# one in either frame; its MI matches the reference of the frame asked.
 
 
 @pytest.mark.parametrize("frame", ["phase", "sequence"])
 def test_from_analytic_matches_dense_reference(bus8_analytic, small_random_feeders, frame):
     for acov in [bus8_analytic] + [a for _, _, a in small_random_feeders]:
-        C, pos = _dense_reference(acov, frame)
+        C, pos = dense_reference(acov, "phase")
         stats = PanelStatistics.from_analytic(acov, frame)
         assert stats.bus_ids == sorted(pos)
         order = np.concatenate([pos[b] for b in stats.bus_ids])
         want = C[np.ix_(order, order)]
         assert np.abs(stats.cov - want).max() <= 1e-12
-        buses = stats.bus_ids
-        ref = np.zeros((len(buses), len(buses)))
-        ld = lambda idx: np.linalg.slogdet(C[np.ix_(idx, idx)])[1]
-        for i, k in itertools.combinations(range(len(buses)), 2):
-            pi, pk = pos[buses[i]], pos[buses[k]]
-            ref[i, k] = ref[k, i] = 0.5 * (ld(pi) + ld(pk) - ld(np.concatenate([pi, pk])))
+        ref = dense_mi(*dense_reference(acov, frame))
         got = stats.mi_matrix()
-        assert got.bus_ids == tuple(buses) and got.frame == frame
+        assert got.bus_ids == tuple(stats.bus_ids) and got.frame == frame
         assert np.abs(got.values - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
@@ -606,6 +587,20 @@ def test_substation_mi_reads_the_estimator_statistics(bus8, bus8_spec, frame, so
     assert out is not None
     assert out == substation_mi(panel, frame=frame, source=source)
     assert out == {b: stats.pair_mi(0, b) for b in bus8.non_slack_ids}
+
+
+def test_magnitude_rooting_does_not_depend_on_the_frame(bus8, bus8_spec):
+    # a weak common mode whose substation MI sits between the chi-square
+    # thresholds of one and of two parameters per cross-covariance entry
+    inc = generate_increments(bus8, bus8_spec, T=500, seed=0, slack_sigma=5e-4)
+    volts = integrate_voltages(inc)
+    found = {}
+    for frame in ("phase", "sequence"):
+        est, _ = estimate_topology(volts, frame=frame, source="magnitude")
+        found[frame] = (est.root_edge, substation_mi(inc, frame=frame, source="magnitude"))
+    assert found["phase"][0] == (0, 1)
+    assert found["sequence"] == found["phase"]
+    assert found["phase"][1][1] == pytest.approx(0.035353, abs=1e-6)
 
 
 def test_substation_points_at_copied_bus(bus8, bus8_spec, rng):

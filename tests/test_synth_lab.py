@@ -208,6 +208,20 @@ def test_panel_refuses_values_of_the_wrong_width():
             VoltagePanel(values=bad, masks=masks, labels=labels)
 
 
+def test_panel_refuses_a_non_slack_bus_without_channels():
+    masks = np.array([[True, True, True], [True, True, True], [False] * 3,
+                      [True, False, False], [False] * 3])
+    values = np.random.default_rng(0).normal(size=(200, int(masks.sum())))
+    with pytest.raises(SynthError, match=r"no channels at buses 2, 4;"):
+        VoltagePanel(values=values, masks=masks, labels=identity_labels(masks),
+                     kind="increment")
+    masks[0] = False  # an unmetered substation is allowed
+    masks[2] = masks[4] = True
+    panel = VoltagePanel(values=np.zeros((200, int(masks.sum()))), masks=masks,
+                         labels=identity_labels(masks), kind="increment")
+    assert panel.slots(0) == ()
+
+
 @pytest.mark.parametrize("name", ["bus8", "bus13", "bus123"])
 def test_columns_tile_the_channel_block_in_bus_order(name):
     masks = make_feeder(name).masks_array()
