@@ -44,7 +44,6 @@ from .synth_lab import (
     VoltagePanel,
     analytic_cov,
     apply_noise,
-    attach_labels,
     corrupt_labels,
     generate_increments,
     integrate_voltages,
@@ -80,7 +79,6 @@ from .phase_id import (
     assign_phases,
     assignment_accuracy,
     diagnose_labels,
-    edge_correlation_margins,
 )
 from .eval_harness import (
     EvalError,

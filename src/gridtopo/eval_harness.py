@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import json
 import math
 import numbers
 import time
@@ -242,18 +241,11 @@ class EvalReport:
     def error_rates(self):
         return [r["error_rate"] for r in self.per_replicate]
 
-    def phase_accuracies(self):
-        return [r["phase_accuracy"] for r in self.per_replicate
-                if r["phase_accuracy"] is not None]
-
     def canonical_dict(self):
         """Report content without the wall-time field, for reproducibility."""
         d = dataclasses.asdict(self)
         d.pop("wall_time_s")
         return d
-
-    def canonical_json(self):
-        return json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
 
     def summary(self):
         pa = ("n/a" if self.phase_accuracy_mean is None

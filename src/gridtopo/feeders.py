@@ -16,7 +16,6 @@ from .grid_model import (
     GridTopology,
     LineModel,
     PhaseMask,
-    PHASES,
 )
 
 FEEDER_NAMES = ("bus8", "bus13", "bus15_mesh", "bus33", "bus123")

@@ -298,23 +298,6 @@ class GridTopology:
     def children_of(self, bus_id):
         return list(self._children.get(bus_id, ()))
 
-    def depth_of(self, bus_id):
-        d = 0
-        u = bus_id
-        while u != 0:
-            u = self._parent[u]
-            d += 1
-        return d
-
-    def descendants_of(self, bus_id):
-        out = []
-        frontier = list(self.children_of(bus_id))
-        while frontier:
-            u = frontier.pop()
-            out.append(u)
-            frontier.extend(self.children_of(u))
-        return out
-
     def edge_set(self, include_root=True, include_chords=True):
         """Undirected edges as a set of sorted tuples."""
         edges = set()
@@ -337,16 +320,6 @@ class GridTopology:
             out[b.id, list(b.mask.indices)] = True
         return out
 
-    def mean_xr_ratio(self):
-        """Average reactance-to-resistance ratio of the self impedances."""
-        ratios = []
-        for br in self.branches:
-            for i in br.mask.indices:
-                x = CARSON_X * br.line.h_self[i]
-                r = br.line.r_per_mile + CARSON_R
-                ratios.append(x / r)
-        return float(np.mean(ratios))
-
 
 @dataclass
 class AdmittanceSystem:
@@ -365,9 +338,6 @@ class AdmittanceSystem:
     @property
     def dim(self):
         return len(self.coords)
-
-    def coords_of_bus(self, bus_id):
-        return [i for i, (b, _) in enumerate(self.coords) if b == bus_id]
 
 
 def assemble_admittance(topology):
@@ -469,7 +439,11 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
         text = path_or_buf.read()
     else:
         text = str(path_or_buf)
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise TopologyFormatError(f"unreadable CSV: {exc}", reader.line_num)
     if not rows:
         raise TopologyFormatError("empty topology file", 1)
     header = [h.strip() for h in rows[0]]

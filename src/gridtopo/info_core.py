@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, replace
 
 import csv
-import io
 
 import numpy as np
 import scipy.stats
@@ -323,9 +322,6 @@ class PanelStatistics:
             self._marginal[buses[0]] = float(ld[0])
         return float(ld[0])
 
-    def marginal_logdet(self, bus_id):
-        return self._logdet([bus_id])
-
     def group_mi(self, buses_a, buses_b):
         """I(block A; block B) between unions of bus features, nats."""
         ia = [j for b in buses_a for j in self.slices[b]]
@@ -358,7 +354,7 @@ class PanelStatistics:
         table = np.zeros((M, dims.max() if M else 0), dtype=np.intp)
         for row, b in zip(table, buses):
             row[:len(self.slices[b])] = self.slices[b]
-        marg = np.array([self.marginal_logdet(b) for b in buses])
+        marg = np.array([self._logdet([b]) for b in buses])
         ii, kk = np.triu_indices(M, 1)
         joint = dims[ii] + dims[kk]
         values = np.zeros((M, M))
@@ -445,48 +441,6 @@ class MIMatrix:
                 write(fh)
         else:
             write(path_or_buf)
-
-    @classmethod
-    def from_csv(cls, path_or_buf, frame="phase", source="complex"):
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, newline="") as fh:
-                text = fh.read()
-        else:
-            text = path_or_buf.read()
-        reader = csv.reader(io.StringIO(text))
-        rows = [(reader.line_num, row) for row in reader]
-        if not rows or [h.strip() for h in rows[0][1]] != ["bus_i", "bus_j", "mi_nats"]:
-            raise InfoCoreError("mutual information CSV header must be bus_i,bus_j,mi_nats")
-        entries = {}
-        buses = set()
-        for line_no, row in rows[1:]:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 3:
-                raise InfoCoreError(
-                    f"mutual information CSV line {line_no}: expected bus_i,bus_j,mi_nats")
-            try:
-                i, k = int(row[0]), int(row[1])
-            except ValueError:
-                raise InfoCoreError(
-                    f"mutual information CSV line {line_no}: bus_i and bus_j must be integers")
-            try:
-                v = float(row[2])
-            except ValueError:
-                v = math.nan
-            if not math.isfinite(v):
-                raise InfoCoreError(
-                    f"mutual information CSV line {line_no}: mi_nats must be a finite "
-                    f"number, got {row[2]!r}")
-            entries[(i, k)] = v
-            buses.update((i, k))
-        bus_ids = tuple(sorted(buses))
-        pos = {b: i for i, b in enumerate(bus_ids)}
-        values = np.zeros((len(bus_ids), len(bus_ids)))
-        for (i, k), v in entries.items():
-            values[pos[i], pos[k]] = v
-            values[pos[k], pos[i]] = v
-        return cls(bus_ids=bus_ids, values=values, frame=frame, source=source)
 
 
 def substation_mi(panel, frame="phase", source="complex", significance=1e-3):

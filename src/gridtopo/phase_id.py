@@ -210,49 +210,3 @@ def assignment_accuracy(assignment, panel):
         raise PhaseIdError("no non-slack buses to score")
     return good / total
 
-
-def edge_correlation_margins(tree, panel, use_increments=True):
-    """Per-edge gap between same-phase and best cross-phase correlation.
-
-    For every tree edge, compares the correlation of true same-phase
-    channel pairs against the largest cross-phase correlation between
-    the two buses. Positive margins are what makes label propagation
-    work; the minimum over edges is the robustness figure.
-    """
-    margins = {}
-    z = _unit_series(panel, use_increments)
-    for parent, child in tree.oriented():
-        if parent == 0:
-            continue
-        corr = _edge_correlation(z, panel, parent, child)
-        p_phase = panel.true_phases(parent)
-        c_phase = panel.true_phases(child)
-        same = []
-        cross = []
-        for i, pp in enumerate(p_phase):
-            for j, cc in enumerate(c_phase):
-                v = corr[i, j]
-                if not np.isfinite(v):
-                    continue
-                (same if pp == cc else cross).append(float(v))
-        if not same:
-            continue
-        worst_same = min(same)
-        best_cross = max(cross) if cross else -1.0
-        margins[(parent, child)] = worst_same - best_cross
-    return margins
-
-
-def check_resistive_premise(topology, threshold=1.0):
-    """Warning string when reactance dominates resistance, else None.
-
-    Label propagation rests on resistive-dominant lines; a mean X/R
-    above the threshold undermines the same-phase correlation ordering.
-    """
-    ratio = topology.mean_xr_ratio()
-    if ratio > threshold:
-        return (
-            f"mean X/R ratio {ratio:.2f} exceeds {threshold:.2f}; phase "
-            "identification assumes resistance-dominant lines and may be unreliable"
-        )
-    return None

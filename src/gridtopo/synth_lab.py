@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid_model import PHASES, GridModelError, assemble_admittance
+from .grid_model import PHASES, assemble_admittance
 
 # Nominal per-phase voltage angles, positive sequence.
 NOMINAL_ANGLES = (0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
@@ -240,9 +240,7 @@ class AnalyticCovariance:
     """Exact second-order statistics of the stacked voltage increments.
 
     real is the (2D, 2D) covariance of [Re dV; Im dV] over the present
-    non-slack coordinates listed in coords. The complex covariance
-    E[x x^H] and pseudo-covariance E[x x^T] are derived views; the
-    pseudo part vanishes for circular injections.
+    non-slack coordinates listed in coords.
     """
 
     real: np.ndarray
@@ -251,30 +249,6 @@ class AnalyticCovariance:
     @property
     def dim(self):
         return len(self.coords)
-
-    def complex_cov(self):
-        D = self.dim
-        rr = self.real[:D, :D]
-        ii = self.real[D:, D:]
-        ir = self.real[D:, :D]
-        ri = self.real[:D, D:]
-        return (rr + ii) + 1j * (ir - ri)
-
-    def pseudo_cov(self):
-        D = self.dim
-        rr = self.real[:D, :D]
-        ii = self.real[D:, D:]
-        ir = self.real[D:, :D]
-        ri = self.real[:D, D:]
-        return (rr - ii) + 1j * (ir + ri)
-
-    def coord_positions(self, bus_id):
-        return [i for i, (b, _) in enumerate(self.coords) if b == bus_id]
-
-    def real_positions(self, bus_id):
-        D = self.dim
-        pos = self.coord_positions(bus_id)
-        return pos + [p + D for p in pos]
 
 
 class FeederSampler:
@@ -729,8 +703,11 @@ def labels_to_csv(panel, path_or_buf):
 
 def labels_from_csv(path_or_buf):
     """Read the sidecar into {bus_id: true phase string}."""
-    text = _read_text(path_or_buf)
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(_read_text(path_or_buf)))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MeasurementFormatError(f"unreadable CSV: {exc}", reader.line_num)
     if not rows or [h.strip() for h in rows[0]] != ["bus_id", "true_phase_order"]:
         raise MeasurementFormatError("label file header must be bus_id,true_phase_order", 1)
     out = {}
@@ -745,18 +722,4 @@ def labels_from_csv(path_or_buf):
         if any(p not in "abc" for p in order):
             raise MeasurementFormatError(f"bad phase order {order!r}", line_no)
         out[b] = order
-    return out
-
-
-def attach_labels(panel, label_map):
-    """Apply a sidecar mapping onto a panel's ground-truth labels."""
-    out = panel.copy()
-    for b, order in label_map.items():
-        slots = np.flatnonzero(out.masks[b])
-        if len(order) != len(slots):
-            raise MeasurementFormatError(
-                f"bus {b}: label order {order!r} does not match {len(slots)} channels"
-            )
-        for s, ph in zip(slots, order):
-            out.labels[b, s] = _phase_slot(ph)
     return out

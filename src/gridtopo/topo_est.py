@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_model import TOPOLOGY_COLUMNS
-from .info_core import MIMatrix, PanelStatistics, difference
+from .info_core import PanelStatistics, difference
 
 
 class TopologyEstimateError(Exception):
@@ -233,11 +233,17 @@ def estimate_from_csv(path):
     """Read back an estimate written by EdgeSetEstimate.to_csv.
 
     Only the connectivity columns are used; admittance fields stay
-    blank in estimate files. A row with parent 0 becomes the root edge.
+    blank in estimate files. A row with parent 0 becomes the root edge;
+    a second such row, or a repeated bus pair, is refused.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = [(reader.line_num, row) for row in reader]
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            # DictReader.line_num lags until a row is returned; its reader's does not
+            raise TopologyEstimateError(
+                f"{path}: line {reader.reader.line_num}: unreadable CSV: {exc}")
     if not rows:
         raise TopologyEstimateError(f"{path}: no edges")
     for need in ("parent_id", "child_id"):
@@ -248,6 +254,7 @@ def estimate_from_csv(path):
     weights = {}
     root_edge = None
     buses = set()
+    seen = set()
     for line_no, row in rows:
         try:
             a = int(row["parent_id"])
@@ -256,6 +263,13 @@ def estimate_from_csv(path):
             raise TopologyEstimateError(
                 f"{path}: line {line_no}: parent_id and child_id must be integers")
         pair = tuple(sorted((a, b)))
+        if pair in seen:
+            raise TopologyEstimateError(f"{path}: line {line_no}: repeated edge {pair}")
+        if 0 in pair and root_edge is not None:
+            raise TopologyEstimateError(
+                f"{path}: line {line_no}: second substation edge {pair}, "
+                f"the root is already {root_edge}")
+        seen.add(pair)
         w = row.get("mi_nats", "")
         if w not in (None, ""):
             try:
@@ -462,63 +476,3 @@ def estimate_topology(volt_panel, frame="phase", source="complex", mesh=False,
     stats = PanelStatistics(difference(volt_panel), frame=frame, source=source, ridge=ridge)
     return recover(stats, mesh=mesh, max_chords=max_chords, gain_tol=gain_tol,
                    declared_root=declared_root), stats
-
-
-# ---------------------------------------------------------------------
-# Brute-force helpers for small-feeder verification
-# ---------------------------------------------------------------------
-
-
-def enumerate_spanning_trees(bus_ids):
-    """Yield every spanning tree over the given buses as sorted edge tuples.
-
-    Uses the bijection between labeled trees on m vertices and length
-    m-2 sequences over the vertex set, so there are m**(m-2) trees;
-    keep m small.
-    """
-    buses = sorted(bus_ids)
-    m = len(buses)
-    if m == 1:
-        yield ()
-        return
-    if m == 2:
-        yield ((buses[0], buses[1]),)
-        return
-    for seq in itertools.product(range(m), repeat=m - 2):
-        yield _decode_pruefer(buses, seq)
-
-
-def _decode_pruefer(buses, seq):
-    m = len(buses)
-    degree = [1] * m
-    for s in seq:
-        degree[s] += 1
-    edges = []
-    import heapq
-
-    leaves = [i for i in range(m) if degree[i] == 1]
-    heapq.heapify(leaves)
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append(tuple(sorted((buses[leaf], buses[s]))))
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    a, b = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append(tuple(sorted((buses[a], buses[b]))))
-    return tuple(sorted(edges))
-
-
-def random_spanning_tree(bus_ids, rng):
-    """Uniformly random labeled tree over the buses."""
-    buses = sorted(bus_ids)
-    m = len(buses)
-    if m <= 2:
-        return next(enumerate_spanning_trees(buses))
-    seq = tuple(int(v) for v in rng.integers(0, m, size=m - 2))
-    return _decode_pruefer(buses, seq)
-
-
-def tree_weight(edges, mi):
-    pos = {b: i for i, b in enumerate(mi.bus_ids)}
-    return float(sum(mi.values[pos[a], pos[b]] for a, b in edges))

@@ -7,6 +7,8 @@ convert between a panel's (T, D) channel block and the (T, n_buses, 3)
 slot grid that some tests index by (bus, slot). dense_reference and
 dense_mi are the explicit exact-MI construction, frame transform
 included, that the kernel's analytic statistics are checked against.
+spanning_trees and edge_correlation_margins are brute-force and
+ground-truth oracles for the spanning-tree and phase checks.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import pytest
 
 from gridtopo.feeders import make_feeder, random_feeder
 from gridtopo.info_core import SEQ_H_INV
+from gridtopo.phase_id import _edge_correlation, _unit_series
 from gridtopo.synth_lab import InjectionSpec, analytic_cov
 
 _CRITERIA = {}
@@ -41,7 +44,8 @@ def dense_reference(acov, frame):
     """
     D = acov.dim
     B = np.eye(2 * D)
-    pos = {b: np.asarray(acov.coord_positions(b)) for b in sorted({b for b, _ in acov.coords})}
+    owner = np.array([b for b, _ in acov.coords])
+    pos = {b: np.flatnonzero(owner == b) for b in np.unique(owner).tolist()}
     if frame == "sequence":
         for b, p in pos.items():
             A = SEQ_H_INV[:len(p)][:, [acov.coords[j][1] for j in p]]
@@ -63,6 +67,61 @@ def dense_mi(C, pos):
         pi, pk = pos[buses[i]], pos[buses[k]]
         out[i, k] = out[k, i] = 0.5 * (ld(pi) + ld(pk) - ld(np.concatenate([pi, pk])))
     return out
+
+
+def is_spanning_tree(edges, bus_ids):
+    """len(bus_ids) - 1 edges over bus_ids that reach every bus from the first."""
+    adj = {b: [] for b in bus_ids}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, stack = {bus_ids[0]}, [bus_ids[0]]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(edges) == len(bus_ids) - 1 and seen == set(bus_ids)
+
+
+def spanning_trees(bus_ids):
+    """Every spanning tree over the buses, as sorted edge tuples; keep the bus count small."""
+    buses = tuple(sorted(bus_ids))
+    pairs = itertools.combinations(buses, 2)
+    return (t for t in itertools.combinations(pairs, len(buses) - 1)
+            if is_spanning_tree(t, buses))
+
+
+def edge_correlation_margins(tree, panel, use_increments=True):
+    """Per-edge gap between same-phase and best cross-phase correlation.
+
+    For every tree edge, compares the correlation of true same-phase
+    channel pairs against the largest cross-phase correlation between
+    the two buses. Positive margins are what makes label propagation
+    work; the minimum over edges is the robustness figure.
+    """
+    margins = {}
+    z = _unit_series(panel, use_increments)
+    for parent, child in tree.oriented():
+        if parent == 0:
+            continue
+        corr = _edge_correlation(z, panel, parent, child)
+        p_phase = panel.true_phases(parent)
+        c_phase = panel.true_phases(child)
+        same = []
+        cross = []
+        for i, pp in enumerate(p_phase):
+            for j, cc in enumerate(c_phase):
+                v = corr[i, j]
+                if not np.isfinite(v):
+                    continue
+                (same if pp == cc else cross).append(float(v))
+        if not same:
+            continue
+        worst_same = min(same)
+        best_cross = max(cross) if cross else -1.0
+        margins[(parent, child)] = worst_same - best_cross
+    return margins
 
 
 class CriterionLog:

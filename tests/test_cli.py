@@ -370,6 +370,9 @@ def test_sweep_rejects_garbled_values(tmp_path, capsys):
     ("1,2,0.5\nx,2,abc\n", 3),
     ("1,2,abc\n", 2),
     ("1,2,0.5\n\n2,,0.1\n", 4),
+    pytest.param("1,2," + "9" * (csv.field_size_limit() + 1) + "\n", 2, id="oversized-field"),
+    pytest.param("0,1,0.5\n0,2,0.5\n", 3, id="second-root-row"),
+    pytest.param("1,2,0.5\n2,1,0.5\n", 3, id="repeated-pair"),
 ])
 def test_identify_phases_bad_topology_row_names_line(tmp_path, capsys, rows, line):
     prefix = _simulate(tmp_path, samples=50)
@@ -380,6 +383,18 @@ def test_identify_phases_bad_topology_row_names_line(tmp_path, capsys, rows, lin
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"line {line}:" in err
+
+
+def test_simulate_oversized_topology_field_names_line(tmp_path, capsys):
+    _simulate(tmp_path, samples=50)
+    header, first, *_ = (tmp_path / "sim.topology.csv").read_text().splitlines()
+    topo = tmp_path / "big.topology.csv"
+    topo.write_text(f"{header}\n{first},{'9' * (csv.field_size_limit() + 1)}\n")
+    rc = main(["simulate", "--topology", str(topo), "--samples", "50",
+               "--out", str(tmp_path / "again")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2:" in err
 
 
 def test_estimate_mixed_angles_names_line(tmp_path, capsys):

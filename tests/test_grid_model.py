@@ -128,9 +128,6 @@ def test_parent_child_helpers(bus8):
     for b in bus8.non_slack_ids:
         p = bus8.parent_of(b)
         assert b in bus8.children_of(p)
-    assert bus8.depth_of(0) == 0
-    head = min(bus8.children_of(0))
-    assert bus8.depth_of(head) == 1
 
 
 def test_branch_mask_subset_of_endpoints(bus8):
@@ -158,11 +155,12 @@ def test_admittance_block_pattern(bus8):
     Y = sys.matrix
     tree_pairs = {tuple(sorted(e)) for e in bus8.edge_set(include_root=False)}
     buses = sorted(bus8.non_slack_ids)
+    rows = {b: [j for j, (c, _) in enumerate(sys.coords) if c == b] for b in buses}
     for i in buses:
         for k in buses:
             if i >= k:
                 continue
-            block = Y[np.ix_(sys.coords_of_bus(i), sys.coords_of_bus(k))]
+            block = Y[np.ix_(rows[i], rows[k])]
             if (i, k) in tree_pairs:
                 assert np.abs(block).max() > 0
             else:
@@ -172,8 +170,8 @@ def test_admittance_block_pattern(bus8):
 def test_admittance_offdiagonal_is_branch_block(bus8):
     sys = assemble_admittance(bus8)
     br = next(b for b in bus8.branches if b.parent != 0)
-    rows = sys.coords_of_bus(br.parent)
-    cols = sys.coords_of_bus(br.child)
+    rows = [j for j, (b, _) in enumerate(sys.coords) if b == br.parent]
+    cols = [j for j, (b, _) in enumerate(sys.coords) if b == br.child]
     got = sys.matrix[np.ix_(rows, cols)]
     pslots = bus8.bus(br.parent).mask.indices
     cslots = bus8.bus(br.child).mask.indices
@@ -190,7 +188,8 @@ def test_admittance_diagonal_sums_neighbours(bus8):
         if bus in (br.parent, br.child):
             total -= br.y_block
     want = total[np.ix_(slots, slots)]
-    got = sys.matrix[np.ix_(sys.coords_of_bus(bus), sys.coords_of_bus(bus))]
+    rows = [j for j, (b, _) in enumerate(sys.coords) if b == bus]
+    got = sys.matrix[np.ix_(rows, rows)]
     assert np.allclose(got, want, atol=1e-12)
 
 

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from gridtopo.grid_model import Branch, Bus, GridTopology, LineModel, PhaseMask
-from conftest import padded
+from conftest import edge_correlation_margins, padded
 from gridtopo.feeders import make_feeder
 from gridtopo.phase_id import (
     MIN_SAMPLES,
     PhaseIdError,
     assign_phases,
     assignment_accuracy,
-    check_resistive_premise,
     diagnose_labels,
     _edge_correlation,
     _unit_series,
-    edge_correlation_margins,
 )
 from gridtopo.synth_lab import (
     InjectionSpec,
@@ -176,22 +173,6 @@ def test_edge_margins_positive_on_clean_data(bus8, bus8_spec):
     margins = edge_correlation_margins(_true_tree(bus8), volts)
     assert set(margins) == {(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)}
     assert min(margins.values()) > 0.0
-
-
-def test_resistive_premise_quiet_on_catalogue(bus8):
-    assert check_resistive_premise(bus8) is None
-
-
-def test_resistive_premise_warns_on_reactive_line():
-    mask = PhaseMask.from_string("abc")
-    line = LineModel(r_per_mile=0.05)
-    topo = GridTopology(
-        buses=[Bus(id=0, mask=mask, is_slack=True), Bus(id=1, mask=mask)],
-        branches=[Branch(parent=0, child=1, mask=mask, line=line, length_miles=1.0)],
-        z_base_ohm=10.0,
-    )
-    msg = check_resistive_premise(topo)
-    assert msg is not None and "X/R" in msg
 
 
 def test_accuracy_counts_mismatches(bus8, bus8_spec):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import is_spanning_tree, spanning_trees
 from gridtopo.feeders import make_feeder
 from gridtopo.info_core import MIMatrix, PanelStatistics
 from gridtopo.synth_lab import InjectionSpec, analytic_cov, generate_increments
@@ -10,13 +11,10 @@ from gridtopo.topo_est import (
     EdgeSetEstimate,
     TopologyEstimateError,
     attach_root,
-    enumerate_spanning_trees,
     estimate_from_csv,
     max_weight_spanning_tree,
     mesh_candidates,
-    random_spanning_tree,
     recover,
-    tree_weight,
     weak_mesh_search,
 )
 
@@ -134,21 +132,6 @@ def _random_provider(rng, ties):
     return provider
 
 
-def _is_spanning_tree(edges, bus_ids):
-    """len(bus_ids) - 1 edges over bus_ids that reach every bus from the first."""
-    adj = {b: [] for b in bus_ids}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen, stack = {bus_ids[0]}, [bus_ids[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(edges) == len(bus_ids) - 1 and seen == set(bus_ids)
-
-
 # -- maximum-weight spanning tree ----------------------------------------
 
 
@@ -183,13 +166,14 @@ def test_mst_matches_known_feeder_analytically(bus8, bus8_analytic):
     assert set(tree.edges) == set(bus8.edge_set(include_root=False))
 
 
-def test_mst_beats_random_trees(bus8_analytic, rng):
+def test_mst_beats_random_trees(bus8_analytic):
     mi = _exact_mi(bus8_analytic)
     tree = max_weight_spanning_tree(mi)
     best = tree.total_weight()
-    for _ in range(1000):
-        other = random_spanning_tree(mi.bus_ids, rng)
-        assert tree_weight(other, mi) <= best + 1e-12
+    others = list(spanning_trees(mi.bus_ids))
+    assert len(others) == 7 ** 5
+    for other in others:
+        assert sum(mi.value(a, b) for a, b in other) <= best + 1e-12
 
 
 def test_mst_brute_force_small_random(rng):
@@ -201,7 +185,7 @@ def test_mst_brute_force_small_random(rng):
         np.fill_diagonal(vals, 0.0)
         mi = MIMatrix(bus_ids=ids, values=vals)
         got = max_weight_spanning_tree(mi)
-        best = max(tree_weight(t, mi) for t in enumerate_spanning_trees(ids))
+        best = max(sum(mi.value(a, b) for a, b in t) for t in spanning_trees(ids))
         assert got.total_weight() == pytest.approx(best, abs=1e-12)
 
 
@@ -302,23 +286,17 @@ def test_attach_root_unknown_declared_bus():
 def test_enumeration_counts_cayley():
     for m in (2, 3, 4, 5):
         ids = tuple(range(1, m + 1))
-        trees = list(enumerate_spanning_trees(ids))
+        trees = list(spanning_trees(ids))
         assert len(trees) == max(1, m ** (m - 2))
         assert len(set(trees)) == len(trees)
         for t in trees:
-            assert _is_spanning_tree(t, ids)
-
-
-def test_random_tree_is_valid(rng):
-    ids = (2, 4, 6, 8, 10)
-    for _ in range(50):
-        assert _is_spanning_tree(random_spanning_tree(ids, rng), ids)
+            assert is_spanning_tree(t, ids)
 
 
 def test_tree_validity_helper_refuses_cycles_and_forests():
-    assert not _is_spanning_tree(((1, 2), (2, 3), (1, 3)), (1, 2, 3, 4))
-    assert not _is_spanning_tree(((1, 2), (3, 4)), (1, 2, 3, 4))
-    assert _is_spanning_tree(((1, 2), (3, 4), (2, 3)), (1, 2, 3, 4))
+    assert not is_spanning_tree(((1, 2), (2, 3), (1, 3)), (1, 2, 3, 4))
+    assert not is_spanning_tree(((1, 2), (3, 4)), (1, 2, 3, 4))
+    assert is_spanning_tree(((1, 2), (3, 4), (2, 3)), (1, 2, 3, 4))
 
 
 # -- weakly meshed extension ---------------------------------------------
@@ -381,7 +359,7 @@ def test_mesh_candidates_never_close_triangles():
     assert cands
     for m, (p, q), rest, rest_weight in cands:
         assert p in adj[m] and q in adj[m]
-        assert _is_spanning_tree(tuple(rest), tuple(b for b in mi.bus_ids if b != m))
+        assert is_spanning_tree(tuple(rest), tuple(b for b in mi.bus_ids if b != m))
         radj = {}
         for a, b in rest:
             radj.setdefault(a, set()).add(b)
