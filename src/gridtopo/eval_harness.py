@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feeders import make_feeder
+from .grid_model import write_csv
 from .phase_id import assign_phases, assignment_accuracy
 from .synth_lab import (FeederSampler, InjectionSpec, NoiseSpec, apply_noise,
                         corrupt_labels, integrate_voltages)
@@ -332,19 +333,14 @@ def sweep(config, axis, values, replicates, base_seed=0, threads=1):
 
 def write_sweep_csv(reports, path):
     """Flat per-point summary CSV for plotting."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["axis", "value", "replicates", "error_rate_mean",
-                    "error_rate_std", "false_edges_mean", "missing_edges_mean",
-                    "phase_accuracy_mean", "phase_accuracy_std", "failures"])
-        for r in reports:
-            w.writerow([
-                r.axis, r.value, r.replicates,
-                repr(r.error_rate_mean), repr(r.error_rate_std),
-                repr(r.false_edges_mean), repr(r.missing_edges_mean),
-                "" if r.phase_accuracy_mean is None else repr(r.phase_accuracy_mean),
-                "" if r.phase_accuracy_std is None else repr(r.phase_accuracy_std),
-                len(r.failures),
-            ])
+    header = ["axis", "value", "replicates", "error_rate_mean",
+              "error_rate_std", "false_edges_mean", "missing_edges_mean",
+              "phase_accuracy_mean", "phase_accuracy_std", "failures"]
+    write_csv(path, header, ([
+        r.axis, r.value, r.replicates,
+        repr(r.error_rate_mean), repr(r.error_rate_std),
+        repr(r.false_edges_mean), repr(r.missing_edges_mean),
+        "" if r.phase_accuracy_mean is None else repr(r.phase_accuracy_mean),
+        "" if r.phase_accuracy_std is None else repr(r.phase_accuracy_std),
+        len(r.failures),
+    ] for r in reports))

@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass, field
@@ -378,6 +379,8 @@ def assemble_admittance(topology):
 
 
 # -- CSV interchange ----------------------------------------------------
+#
+# Every interchange file is opened, written and line-numbered here.
 
 TOPOLOGY_COLUMNS = [
     "parent_id",
@@ -392,35 +395,52 @@ TOPOLOGY_COLUMNS = [
     "h_mut_bc",
     "h_mut_ac",
 ]
+# The chord column's accepted values; the writers emit "0" and "1".
+CHORD_FLAGS = {"": False, "0": False, "1": True}
+
+
+def text_file(path_or_buf, mode="r"):
+    """Open a path with newline="" (csv's rule), or pass a text buffer through."""
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        return open(path_or_buf, mode, newline="")
+    return contextlib.nullcontext(path_or_buf)
+
+
+def write_csv(path_or_buf, header, rows):
+    """Header then rows through csv.writer: minimal quoting, CRLF line ends."""
+    with text_file(path_or_buf, "w") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def csv_rows(text, error):
+    """Yield (line_no, row) for the header and every non-blank row after it.
+
+    line_no is the physical line the row ends on, so it stays right
+    after a quoted field that spans lines. A csv.Error becomes
+    error(message, line_no) at the row where it happens.
+    """
+    reader = csv.reader(io.StringIO(text))
+    header = True
+    try:
+        for row in reader:
+            if header or any(c.strip() for c in row):
+                header = False
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise error(f"unreadable CSV: {exc}", reader.line_num) from None
 
 
 def topology_to_csv(topology, path_or_buf):
     """Write branch rows. A chord column appears when chords exist."""
     has_chords = any(br.is_chord for br in topology.branches)
-    cols = TOPOLOGY_COLUMNS + (["chord"] if has_chords else [])
-
-    def write(fh):
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for br in topology.branches:
-            row = [
-                br.parent,
-                br.child,
-                br.mask.to_string(),
-                repr(float(br.length_miles)),
-                repr(float(br.line.r_per_mile)),
-            ]
-            row += [repr(h) for h in br.line.h_self]
-            row += [repr(h) for h in br.line.h_mut]
-            if has_chords:
-                row.append(1 if br.is_chord else 0)
-            w.writerow(row)
-
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(path_or_buf)
+    write_csv(path_or_buf, TOPOLOGY_COLUMNS + (["chord"] if has_chords else []), (
+        [br.parent, br.child, br.mask.to_string(), repr(float(br.length_miles)),
+         repr(float(br.line.r_per_mile))]
+        + [repr(h) for h in br.line.h_self + br.line.h_mut]
+        + ([1 if br.is_chord else 0] if has_chords else [])
+        for br in topology.branches))
 
 
 def _parse_float(text, col, line_no):
@@ -432,21 +452,12 @@ def _parse_float(text, col, line_no):
 
 def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
     """Read a topology CSV. Bus masks are the union of incident branch phases."""
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, newline="") as fh:
-            text = fh.read()
-    elif isinstance(path_or_buf, io.TextIOBase):
-        text = path_or_buf.read()
-    else:
-        text = str(path_or_buf)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise TopologyFormatError(f"unreadable CSV: {exc}", reader.line_num)
-    if not rows:
+    with text_file(path_or_buf) as fh:
+        rows = csv_rows(fh.read(), TopologyFormatError)
+    _, header = next(rows, (1, None))
+    if header is None:
         raise TopologyFormatError("empty topology file", 1)
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     for col in TOPOLOGY_COLUMNS:
         if col not in header:
             raise TopologyFormatError(f"missing required column {col!r}", 1)
@@ -455,9 +466,7 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
 
     branches = []
     phase_union = {0: set()}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for line_no, row in rows:
         if len(row) < len(header):
             raise TopologyFormatError(
                 f"expected {len(header)} fields, got {len(row)}", line_no
@@ -484,13 +493,13 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
             _parse_float(row[pos[f"h_mut_{pair}"]], f"h_mut_{pair}", line_no)
             for pair in ("ab", "bc", "ac")
         )
-        is_chord = False
-        if has_chord and row[pos["chord"]].strip():
-            is_chord = row[pos["chord"]].strip() == "1"
+        flag = row[pos["chord"]].strip() if has_chord else ""
+        if flag not in CHORD_FLAGS:
+            raise TopologyFormatError(f"bad chord flag {flag!r}", line_no)
         try:
             line = LineModel(r_per_mile=r, h_self=h_self, h_mut=h_mut)
             br = Branch(parent=parent, child=child, mask=mask, line=line,
-                        length_miles=length, is_chord=is_chord)
+                        length_miles=length, is_chord=CHORD_FLAGS[flag])
         except GridModelError as exc:
             raise TopologyFormatError(str(exc), line_no)
         branches.append(br)
@@ -505,4 +514,7 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
         Bus(id=i, mask=PhaseMask(frozenset(phase_union[i])), is_slack=(i == 0))
         for i in range(n)
     ]
-    return GridTopology(buses=buses, branches=branches, z_base_ohm=z_base_ohm, name=name)
+    try:
+        return GridTopology(buses=buses, branches=branches, z_base_ohm=z_base_ohm, name=name)
+    except GridModelError as exc:
+        raise TopologyFormatError(str(exc)) from None

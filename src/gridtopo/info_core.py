@@ -40,10 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import csv
-
 import numpy as np
 import scipy.stats
+
+from .grid_model import write_csv
 
 FRAMES = ("phase", "sequence")
 SOURCES = ("complex", "magnitude")
@@ -430,17 +430,8 @@ class MIMatrix:
                 yield self.bus_ids[i], self.bus_ids[k], float(self.values[i, k])
 
     def to_csv(self, path_or_buf):
-        def write(fh):
-            w = csv.writer(fh)
-            w.writerow(["bus_i", "bus_j", "mi_nats"])
-            for i, k, v in self.pairs():
-                w.writerow([i, k, repr(v)])
-
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w", newline="") as fh:
-                write(fh)
-        else:
-            write(path_or_buf)
+        write_csv(path_or_buf, ["bus_i", "bus_j", "mi_nats"],
+                  ([i, k, repr(v)] for i, k, v in self.pairs()))
 
 
 def substation_mi(panel, frame="phase", source="complex", significance=1e-3):

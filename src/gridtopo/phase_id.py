@@ -10,14 +10,13 @@ correlation.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_model import PHASES
+from .grid_model import PHASES, write_csv
 
 
 class PhaseIdError(Exception):
@@ -54,14 +53,12 @@ class PhaseAssignment:
         return tuple(PHASES[j] for j in self.channels[bus_id])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bus_id", "channel", "assigned_phase", "margin"])
-            for bus in sorted(self.channels):
-                margin = self.margins.get(bus, math.inf)
-                mtxt = "inf" if math.isinf(margin) else repr(float(margin))
-                for ch, ph in enumerate(self.channels[bus]):
-                    w.writerow([bus, ch, PHASES[ph], mtxt])
+        rows = []
+        for bus in sorted(self.channels):
+            margin = self.margins.get(bus, math.inf)
+            mtxt = "inf" if math.isinf(margin) else repr(float(margin))
+            rows += [[bus, ch, PHASES[ph], mtxt] for ch, ph in enumerate(self.channels[bus])]
+        write_csv(path, ["bus_id", "channel", "assigned_phase", "margin"], rows)
 
 
 def _unit_series(panel, use_increments=True):

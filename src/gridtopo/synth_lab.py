@@ -10,7 +10,6 @@ label corruption, and the measurement CSV interchange format.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid_model import PHASES, assemble_admittance
+from .grid_model import PHASES, assemble_admittance, csv_rows, text_file, write_csv
 
 # Nominal per-phase voltage angles, positive sequence.
 NOMINAL_ANGLES = (0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
@@ -478,19 +477,6 @@ class MeasurementFormatError(SynthError):
         super().__init__(message)
 
 
-def _is_path(path_or_buf):
-    return isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-
-
-def _read_text(path_or_buf):
-    if _is_path(path_or_buf):
-        with open(path_or_buf, newline="") as fh:
-            return fh.read()
-    if isinstance(path_or_buf, io.TextIOBase):
-        return path_or_buf.read()
-    return str(path_or_buf)
-
-
 def panel_to_csv(panel, path_or_buf):
     """Long-format export: one row per (t, bus, phase) present sample.
 
@@ -504,8 +490,7 @@ def panel_to_csv(panel, path_or_buf):
     angs = None if panel.magnitude_only else np.ascontiguousarray(
         np.degrees(np.angle(panel.values)).T)
     stamps = [f"{t}," for t in range(panel.n_samples)]
-
-    def write(fh):
+    with text_file(path_or_buf, "w") as fh:
         fh.write(",".join(MEASUREMENT_COLUMNS) + "\r\n")
         for j, (b, s) in enumerate(np.argwhere(panel.masks).tolist()):
             key = f"{b},{PHASES[s]},"
@@ -513,12 +498,6 @@ def panel_to_csv(panel, path_or_buf):
             a = itertools.repeat("") if angs is None else map(repr, angs[j].tolist())
             fh.write("".join([f"{ts}{key}{mm},{aa}\r\n"
                               for ts, mm, aa in zip(stamps, m, a)]))
-
-    if _is_path(path_or_buf):
-        with open(path_or_buf, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(path_or_buf)
 
 
 def panel_from_csv(path_or_buf, kind="voltage"):
@@ -531,7 +510,8 @@ def panel_from_csv(path_or_buf, kind="voltage"):
     rejected. Labels are the identity: files carry claimed phases,
     ground truth travels in the separate label sidecar.
     """
-    text = _read_text(path_or_buf)
+    with text_file(path_or_buf) as fh:
+        text = fh.read()
     cols = _measurement_columns(text)
     if cols is None:
         cols = _checked_measurement_rows(text)
@@ -616,62 +596,57 @@ def _checked_measurement_rows(text):
     Raises MeasurementFormatError naming the first bad line; otherwise
     returns the same columns as _measurement_columns.
     """
-    reader = csv.reader(io.StringIO(text))
+    rows = csv_rows(text, MeasurementFormatError)
     ts, bs, slots, mags, angs = [], [], [], [], []
     seen = set()
     first_present = None
     mixed_line = None
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise MeasurementFormatError("empty measurement file", 1)
-        if [h.strip() for h in header] != MEASUREMENT_COLUMNS:
-            raise MeasurementFormatError(
-                f"header must be {','.join(MEASUREMENT_COLUMNS)}", 1
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise MeasurementFormatError(f"expected 5 fields, got {len(row)}", line_no)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise MeasurementFormatError("empty measurement file", 1)
+    if [h.strip() for h in header] != MEASUREMENT_COLUMNS:
+        raise MeasurementFormatError(
+            f"header must be {','.join(MEASUREMENT_COLUMNS)}", 1
+        )
+    for line_no, row in rows:
+        if len(row) != 5:
+            raise MeasurementFormatError(f"expected 5 fields, got {len(row)}", line_no)
+        try:
+            t = int(row[0])
+            b = int(row[1])
+        except ValueError:
+            raise MeasurementFormatError("t and bus_id must be integers", line_no)
+        if t < 0 or b < 0:
+            raise MeasurementFormatError("t and bus_id must be non-negative", line_no)
+        phase = row[2].strip().lower()
+        if phase not in PHASES:
+            raise MeasurementFormatError(f"bad phase {row[2]!r}", line_no)
+        try:
+            mag = float(row[3])
+        except ValueError:
+            raise MeasurementFormatError(f"cannot parse magnitude {row[3]!r}", line_no)
+        ang_text = row[4].strip()
+        present = bool(ang_text)
+        if present:
             try:
-                t = int(row[0])
-                b = int(row[1])
+                ang = float(ang_text)
             except ValueError:
-                raise MeasurementFormatError("t and bus_id must be integers", line_no)
-            if t < 0 or b < 0:
-                raise MeasurementFormatError("t and bus_id must be non-negative", line_no)
-            phase = row[2].strip().lower()
-            if phase not in PHASES:
-                raise MeasurementFormatError(f"bad phase {row[2]!r}", line_no)
-            try:
-                mag = float(row[3])
-            except ValueError:
-                raise MeasurementFormatError(f"cannot parse magnitude {row[3]!r}", line_no)
-            ang_text = row[4].strip()
-            present = bool(ang_text)
-            if present:
-                try:
-                    ang = float(ang_text)
-                except ValueError:
-                    raise MeasurementFormatError(f"cannot parse angle {row[4]!r}", line_no)
-                if math.isinf(ang):
-                    raise MeasurementFormatError(f"infinite angle {row[4]!r}", line_no)
-                angs.append(ang)
-            if first_present is None:
-                first_present = present
-            elif present != first_present and mixed_line is None:
-                mixed_line = line_no
-            key = (t, b, phase)
-            if key in seen:
-                raise MeasurementFormatError(f"duplicate sample for {key}", line_no)
-            seen.add(key)
-            ts.append(t)
-            bs.append(b)
-            slots.append(_phase_slot(phase))
-            mags.append(mag)
-    except csv.Error as exc:
-        raise MeasurementFormatError(f"unreadable CSV: {exc}", reader.line_num)
+                raise MeasurementFormatError(f"cannot parse angle {row[4]!r}", line_no)
+            if math.isinf(ang):
+                raise MeasurementFormatError(f"infinite angle {row[4]!r}", line_no)
+            angs.append(ang)
+        if first_present is None:
+            first_present = present
+        elif present != first_present and mixed_line is None:
+            mixed_line = line_no
+        key = (t, b, phase)
+        if key in seen:
+            raise MeasurementFormatError(f"duplicate sample for {key}", line_no)
+        seen.add(key)
+        ts.append(t)
+        bs.append(b)
+        slots.append(PHASES.index(phase))
+        mags.append(mag)
     if mixed_line is not None:
         raise MeasurementFormatError("mixed empty and present angle fields", mixed_line)
     return (np.array(ts, dtype=np.int64), np.array(bs, dtype=np.int64),
@@ -679,47 +654,34 @@ def _checked_measurement_rows(text):
             np.array(angs, dtype=float) if first_present else None)
 
 
-def _phase_slot(phase):
-    return PHASES.index(phase)
-
-
 def labels_to_csv(panel, path_or_buf):
     """Ground-truth sidecar: bus_id,true_phase_order over claimed slots."""
-
-    def write(fh):
-        w = csv.writer(fh)
-        w.writerow(["bus_id", "true_phase_order"])
-        for b in range(panel.n_buses):
-            slots = np.flatnonzero(panel.masks[b])
-            order = "".join(PHASES[int(panel.labels[b, s])] for s in slots)
-            w.writerow([b, order])
-
-    if _is_path(path_or_buf):
-        with open(path_or_buf, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(path_or_buf)
+    write_csv(path_or_buf, ["bus_id", "true_phase_order"], (
+        [b, "".join(PHASES[int(panel.labels[b, s])] for s in np.flatnonzero(panel.masks[b]))]
+        for b in range(panel.n_buses)))
 
 
 def labels_from_csv(path_or_buf):
-    """Read the sidecar into {bus_id: true phase string}."""
-    reader = csv.reader(io.StringIO(_read_text(path_or_buf)))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise MeasurementFormatError(f"unreadable CSV: {exc}", reader.line_num)
-    if not rows or [h.strip() for h in rows[0]] != ["bus_id", "true_phase_order"]:
+    """Read the sidecar into {bus_id: true phase string}.
+
+    A bus id may appear once, and a phase order names each of a, b, c
+    at most once.
+    """
+    with text_file(path_or_buf) as fh:
+        rows = csv_rows(fh.read(), MeasurementFormatError)
+    _, header = next(rows, (1, None))
+    if header is None or [h.strip() for h in header] != ["bus_id", "true_phase_order"]:
         raise MeasurementFormatError("label file header must be bus_id,true_phase_order", 1)
     out = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for line_no, row in rows:
         try:
             b = int(row[0])
-        except (ValueError, IndexError):
+        except ValueError:
             raise MeasurementFormatError("bus_id must be an integer", line_no)
+        if b in out:
+            raise MeasurementFormatError(f"repeated bus id {b}", line_no)
         order = row[1].strip().lower() if len(row) > 1 else ""
-        if any(p not in "abc" for p in order):
+        if any(p not in "abc" for p in order) or len(set(order)) != len(order):
             raise MeasurementFormatError(f"bad phase order {order!r}", line_no)
         out[b] = order
     return out

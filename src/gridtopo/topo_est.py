@@ -19,13 +19,12 @@ the CLI and the evaluation harness all run through it.
 from __future__ import annotations
 
 import bisect
-import csv
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_model import TOPOLOGY_COLUMNS
+from .grid_model import CHORD_FLAGS, TOPOLOGY_COLUMNS, csv_rows, text_file, write_csv
 from .info_core import PanelStatistics, difference
 
 
@@ -136,20 +135,11 @@ class EdgeSetEstimate:
                     phases = "".join(shared)
                 elif cm is not None:
                     phases = str(cm)
-            row = {c: "" for c in TOPOLOGY_COLUMNS}
-            row["parent_id"] = parent
-            row["child_id"] = child
-            row["phases"] = phases
-            if chord_set:
-                row["chord"] = 1 if pair in chord_set else 0
-            row["mi_nats"] = repr(self.weights[pair]) if pair in self.weights else ""
-            rows.append(row)
+            rows.append([parent, child, phases] + [""] * (len(TOPOLOGY_COLUMNS) - 3)
+                        + ([1 if pair in chord_set else 0] if chord_set else [])
+                        + [repr(self.weights[pair]) if pair in self.weights else ""])
         cols = TOPOLOGY_COLUMNS + (["chord"] if chord_set else []) + ["mi_nats"]
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=cols)
-            w.writeheader()
-            for row in rows:
-                w.writerow(row)
+        write_csv(path, cols, rows)
 
 
 def _ranked_pairs(mi):
@@ -236,18 +226,16 @@ def estimate_from_csv(path):
     blank in estimate files. A row with parent 0 becomes the root edge;
     a second such row, or a repeated bus pair, is refused.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            rows = [(reader.line_num, row) for row in reader]
-        except csv.Error as exc:
-            # DictReader.line_num lags until a row is returned; its reader's does not
-            raise TopologyEstimateError(
-                f"{path}: line {reader.reader.line_num}: unreadable CSV: {exc}")
-    if not rows:
+    def error(message, line_no):
+        return TopologyEstimateError(f"{path}: line {line_no}: {message}")
+
+    with text_file(path) as fh:
+        rows = list(csv_rows(fh.read(), error))
+    if len(rows) < 2:
         raise TopologyEstimateError(f"{path}: no edges")
+    header = rows[0][1]
     for need in ("parent_id", "child_id"):
-        if need not in rows[0][1]:
+        if need not in header:
             raise TopologyEstimateError(f"{path}: missing column {need}")
     edges = []
     chords = []
@@ -255,33 +243,35 @@ def estimate_from_csv(path):
     root_edge = None
     buses = set()
     seen = set()
-    for line_no, row in rows:
+    for line_no, fields in rows[1:]:
+        row = dict(zip(header, fields))
         try:
-            a = int(row["parent_id"])
-            b = int(row["child_id"])
+            a = int(row.get("parent_id"))
+            b = int(row.get("child_id"))
         except (TypeError, ValueError):
-            raise TopologyEstimateError(
-                f"{path}: line {line_no}: parent_id and child_id must be integers")
+            raise error("parent_id and child_id must be integers", line_no)
         pair = tuple(sorted((a, b)))
         if pair in seen:
-            raise TopologyEstimateError(f"{path}: line {line_no}: repeated edge {pair}")
+            raise error(f"repeated edge {pair}", line_no)
         if 0 in pair and root_edge is not None:
-            raise TopologyEstimateError(
-                f"{path}: line {line_no}: second substation edge {pair}, "
-                f"the root is already {root_edge}")
+            raise error(f"second substation edge {pair}, the root is already {root_edge}",
+                        line_no)
         seen.add(pair)
         w = row.get("mi_nats", "")
-        if w not in (None, ""):
+        if w:
             try:
                 weights[pair] = float(w)
             except ValueError:
-                raise TopologyEstimateError(f"{path}: line {line_no}: cannot parse mi_nats {w!r}")
+                raise error(f"cannot parse mi_nats {w!r}", line_no)
+        flag = row.get("chord", "").strip()
+        if flag not in CHORD_FLAGS:
+            raise error(f"bad chord flag {flag!r}", line_no)
         if 0 in pair:
             root_edge = pair
             buses.add(max(pair))
             continue
         buses.update(pair)
-        if str(row.get("chord", "")).strip() in ("1", "true", "True"):
+        if CHORD_FLAGS[flag]:
             chords.append(pair)
         else:
             edges.append(pair)

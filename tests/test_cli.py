@@ -397,6 +397,26 @@ def test_simulate_oversized_topology_field_names_line(tmp_path, capsys):
     assert err.startswith("error: ") and "line 2:" in err
 
 
+@pytest.mark.parametrize("feeder, message", [
+    ("bus8", "need 7 tree branches for 8 buses, got 6"),
+    ("bus15_mesh", "bus 7 has two tree parents"),
+])
+def test_simulate_bad_topology_graph_exits_two(tmp_path, capsys, feeder, message):
+    _simulate(tmp_path, feeder=feeder, samples=50)
+    lines = (tmp_path / "sim.topology.csv").read_text().splitlines()
+    if feeder == "bus8":
+        del lines[2]  # branch 1-2; bus 2 keeps its own children
+    else:
+        lines[-1] = lines[-1][:-1] + "0"  # the chord, flagged as a tree branch
+    topo = tmp_path / "bad.topology.csv"
+    topo.write_text("\n".join(lines) + "\n")
+    rc = main(["simulate", "--topology", str(topo), "--samples", "50",
+               "--out", str(tmp_path / "again")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_estimate_mixed_angles_names_line(tmp_path, capsys):
     prefix = _simulate(tmp_path, samples=50)
     path = prefix + ".measurements.csv"

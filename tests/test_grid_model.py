@@ -13,6 +13,7 @@ from gridtopo.grid_model import (
     LineModel,
     PhaseMask,
     SingularLineError,
+    TOPOLOGY_COLUMNS,
     TopologyFormatError,
     assemble_admittance,
     branch_admittance,
@@ -20,6 +21,8 @@ from gridtopo.grid_model import (
     topology_from_csv,
     topology_to_csv,
 )
+from gridtopo.synth_lab import MeasurementFormatError, labels_from_csv, panel_from_csv
+from gridtopo.topo_est import TopologyEstimateError, estimate_from_csv
 
 
 # -- phase masks ---------------------------------------------------------
@@ -249,6 +252,66 @@ def test_topology_csv_bad_number_reports_line():
     ) + "\n0,1,abc,oops,1.0,8,8,8,5,5,5\n"
     with pytest.raises(TopologyFormatError):
         topology_from_csv(io.StringIO(text))
+
+
+def _mesh_csv_lines():
+    buf = io.StringIO()
+    topology_to_csv(make_feeder("bus15_mesh"), buf)
+    return buf.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("flag", ["yes", "true", "True", "2"])
+def test_topology_csv_refuses_an_unknown_chord_flag(flag):
+    lines = _mesh_csv_lines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + flag
+    with pytest.raises(TopologyFormatError, match=f"line {len(lines)}: bad chord flag '{flag}'"):
+        topology_from_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_topology_csv_reads_an_empty_chord_flag_as_a_tree_branch():
+    lines = _mesh_csv_lines()
+    assert lines[1].endswith(",0")
+    lines[1] = lines[1][:-1]
+    back = topology_from_csv(io.StringIO("\n".join(lines) + "\n"))
+    assert back.edge_set() == make_feeder("bus15_mesh").edge_set()
+    assert len(back.chords) == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda lines: lines[:2] + lines[3:],
+                 "need 7 tree branches for 8 buses, got 6", id="missing-branch"),
+    pytest.param(lambda lines: lines[:2] + [lines[2].replace("1,2,", "1,1,", 1)] + lines[3:],
+                 "self-loop at bus 1", id="self-loop"),
+])
+def test_topology_csv_graph_errors_are_format_errors(bus8, edit, message):
+    buf = io.StringIO()
+    topology_to_csv(bus8, buf)
+    lines = edit(buf.getvalue().splitlines())
+    with pytest.raises(TopologyFormatError, match=message):
+        topology_from_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+# Each file has a quoted field spanning lines 2 and 3, then a bad row on line 4.
+@pytest.mark.parametrize("read, error, text, message", [
+    pytest.param(topology_from_csv, TopologyFormatError,
+                 ",".join(TOPOLOGY_COLUMNS) + '\n0,1,abc,"0.5\n",1.0,8,8,8,5,5,5\n'
+                 "x,2,abc,0.5,1.0,8,8,8,5,5,5\n", "bus ids must be integers", id="topology"),
+    pytest.param(labels_from_csv, MeasurementFormatError,
+                 'bus_id,true_phase_order\n1,"abc\n"\nx,abc\n',
+                 "bus_id must be an integer", id="labels"),
+    pytest.param(panel_from_csv, MeasurementFormatError,
+                 't,bus_id,phase,magnitude_pu,angle_deg\n0,1,a,"1.0\n",0.0\nx,1,a,1.0,0.0\n',
+                 "t and bus_id must be integers", id="measurements"),
+    pytest.param(estimate_from_csv, TopologyEstimateError,
+                 'parent_id,child_id,mi_nats\n1,2,"0.5\n"\nx,3,0.1\n',
+                 "parent_id and child_id must be integers", id="estimate"),
+])
+def test_csv_errors_name_the_physical_line_after_a_multiline_field(
+        tmp_path, read, error, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=f"line 4: {message}"):
+        read(path)
 
 
 def test_catalogue_names():

@@ -77,3 +77,14 @@ def test_every_readme_gridtopo_import_resolves(start, source):
                for line, module, name in _gridtopo_imports(source, "README.md")
                if not _resolves(module, name)]
     assert not missing, missing
+
+
+def test_only_grid_model_imports_csv():
+    """Opening, writing and line-numbering CSV files stays in grid_model."""
+    importers = []
+    for path in sorted((ROOT / "src" / "gridtopo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)) \
+                    or (isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                importers.append(path.name)
+    assert importers == ["grid_model.py"]

@@ -489,6 +489,15 @@ def test_label_sidecar_rejects_bad_phase():
         labels_from_csv(io.StringIO("bus_id,true_phase_order\n1,axb\n"))
 
 
+@pytest.mark.parametrize("rows, message", [
+    pytest.param("1,abc\n1,cab\n", "line 3: repeated bus id 1", id="repeated-bus"),
+    pytest.param("1,abc\n2,aab\n", "line 3: bad phase order 'aab'", id="repeated-letter"),
+])
+def test_label_sidecar_refuses_ambiguous_rows(rows, message):
+    with pytest.raises(MeasurementFormatError, match=message):
+        labels_from_csv(io.StringIO("bus_id,true_phase_order\n" + rows))
+
+
 def test_label_sidecar_unreadable_csv_names_line():
     big = "a" * (csv.field_size_limit() + 1)
     with pytest.raises(MeasurementFormatError, match="line 2: unreadable CSV"):

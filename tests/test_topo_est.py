@@ -503,6 +503,21 @@ def test_estimate_csv_tree_round_trip(tmp_path, bus8_analytic):
     assert back.root_edge == (0, 1)
 
 
+def test_estimate_csv_chord_flags(tmp_path):
+    path = tmp_path / "flags.csv"
+    path.write_text("parent_id,child_id,chord\n1,2,\n2,3,0\n1,3,1\n")
+    back = estimate_from_csv(path)
+    assert back.edges == ((1, 2), (2, 3)) and back.chords == ((1, 3),)
+
+
+@pytest.mark.parametrize("flag", ["true", "True", "yes", "2"])
+def test_estimate_csv_refuses_an_unknown_chord_flag(tmp_path, flag):
+    path = tmp_path / "flags.csv"
+    path.write_text(f"parent_id,child_id,chord\n1,2,0\n2,3,{flag}\n")
+    with pytest.raises(TopologyEstimateError, match=f"line 3: bad chord flag '{flag}'"):
+        estimate_from_csv(path)
+
+
 def test_estimate_csv_rejects_missing_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
