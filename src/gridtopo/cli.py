@@ -137,7 +137,7 @@ def cmd_simulate(args):
     panel_to_csv(volts, args.out + ".measurements.csv")
     labels_to_csv(volts, args.out + ".labels.csv")
     print(f"simulated {topo.n_buses} buses x {volts.n_samples} samples "
-          f"(feeder {topo.name or args.feeder}, seed {args.seed})")
+          f"(feeder {args.topology or args.feeder}, seed {args.seed})")
     print(f"wrote {args.out}.topology.csv, {args.out}.measurements.csv, "
           f"{args.out}.labels.csv")
     return 0

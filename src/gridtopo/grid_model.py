@@ -3,9 +3,9 @@
 Represents a feeder as buses carrying one to three phases, connected by
 branches whose series impedance follows the modified Carson equations.
 Provides the per-phase admittance blocks and the assembled nodal
-admittance matrix over all non-slack (bus, phase) coordinates, which is
-what the linearized voltage-increment model and the synthetic data
-generator consume.
+admittance matrix over all non-slack (bus, phase) channels, in a
+panel's column order, which is what the linearized voltage-increment
+model and the synthetic data generator consume.
 
 Conventions
 -----------
@@ -322,60 +322,25 @@ class GridTopology:
         return out
 
 
-@dataclass
-class AdmittanceSystem:
-    """Assembled nodal admittance over non-slack present coordinates.
-
-    matrix follows the increment model  Y dV = dI  with off-diagonal
-    blocks equal to the branch admittance blocks and diagonal blocks
-    equal to minus the sum over all neighbours, the slack included.
-    coords lists (bus_id, slot) per matrix row.
-    """
-
-    matrix: np.ndarray
-    coords: list
-    index: dict
-
-    @property
-    def dim(self):
-        return len(self.coords)
-
-
 def assemble_admittance(topology):
-    """Build the per-unit nodal admittance matrix of the increment model."""
-    coords = []
-    for b in topology.buses:
-        if b.is_slack:
-            continue
-        for s in b.mask.indices:
-            coords.append((b.id, s))
-    index = {c: i for i, c in enumerate(coords)}
-    n = len(coords)
-    Y = np.zeros((n, n), dtype=complex)
+    """Per-unit nodal admittance matrix of the increment model  Y dV = dI.
 
-    def scatter(bus_i, bus_k, block, sign):
-        for si in topology.bus(bus_i).mask.indices:
-            row = index.get((bus_i, si))
-            if row is None:
-                continue
-            for sk in topology.bus(bus_k).mask.indices:
-                col = index.get((bus_k, sk))
-                if col is None:
-                    continue
-                Y[row, col] += sign * block[si, sk]
-
+    Rows and columns are the non-slack channels in masks_array() order,
+    which are a panel's columns after the substation's. Off-diagonal
+    blocks are the branch admittance blocks, and each diagonal block is
+    minus the sum over all neighbours, the slack included.
+    """
+    n = topology.n_buses
+    Y = np.zeros((n, 3, n, 3), dtype=complex)
     for br in topology.branches:
-        blk = br.y_block
         u, v = br.parent, br.child
-        if u != 0:
-            scatter(u, u, blk, -1.0)
-            if v != 0:
-                scatter(u, v, blk, +1.0)
-        if v != 0:
-            scatter(v, v, blk, -1.0)
-            if u != 0:
-                scatter(v, u, blk, +1.0)
-    return AdmittanceSystem(matrix=Y, coords=coords, index=index)
+        Y[u, :, u, :] -= br.y_block
+        Y[u, :, v, :] += br.y_block
+        Y[v, :, v, :] -= br.y_block
+        Y[v, :, u, :] += br.y_block
+    # flat (bus, slot) positions of the claimed slots after bus 0's three
+    keep = 3 + np.flatnonzero(topology.masks_array()[1:])
+    return Y.reshape(3 * n, 3 * n)[np.ix_(keep, keep)]
 
 
 # -- CSV interchange ----------------------------------------------------
@@ -477,7 +442,7 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
         except ValueError:
             raise TopologyFormatError("bus ids must be integers", line_no)
         phases = row[pos["phases"]].strip().lower()
-        if not phases or any(p not in "abc" for p in phases):
+        if not phases or any(p not in "abc" for p in phases) or len(set(phases)) != len(phases):
             raise TopologyFormatError(f"bad phases field {phases!r}", line_no)
         mask = PhaseMask.from_string(phases)
         length = _parse_float(row[pos["length_miles"]], "length_miles", line_no)

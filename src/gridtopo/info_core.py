@@ -127,24 +127,35 @@ def _gather_cov(panel, bus_ids, source):
 
     bus_ids is an ascending run of buses, so their channels are one
     contiguous range of panel columns. The gather layout lists the
-    buses in that order, each as the Re parts of its claimed slots then
-    their Im parts (complex source) or as one magnitude per claimed slot.
+    buses in that order, as _re_im_order lays out their channels
+    (complex source) or as one magnitude per claimed slot.
     """
     lo, hi = panel.columns(bus_ids[0]).start, panel.columns(bus_ids[-1]).stop
     n = panel.n_samples
     rows = np.ascontiguousarray(panel.values)
     parts = rows.view(np.float64)
     if source == "complex":
-        # (Re, Im) view positions in (bus, part, column) order
-        col = np.arange(2 * (hi - lo)) // 2
-        bus = np.repeat(np.arange(len(bus_ids)), panel.masks[bus_ids].sum(axis=1))[col]
-        X = np.take(parts, 2 * lo + np.lexsort((col, np.arange(col.size) % 2, bus)), axis=1)
+        col, part = _re_im_order(panel.masks[bus_ids].sum(axis=1))
+        X = np.take(parts, 2 * (lo + col) + part, axis=1)
     elif panel.magnitude_only:
         X = np.take(parts, 2 * np.arange(lo, hi), axis=1)
     else:
         X = np.abs(np.take(rows, np.arange(lo, hi), axis=1))
     X -= X.mean(axis=0)
     return X.T @ X / (n - 1)
+
+
+def _re_im_order(widths):
+    """(channel, part) of each complex feature, part 0 for Re and 1 for Im.
+
+    widths[i] is the channel count of the i-th of a run of buses whose
+    channels follow one another. The features list the buses in order,
+    each as the Re parts of its channels, then their Im parts.
+    """
+    col = np.arange(2 * widths.sum()) // 2
+    part = np.arange(col.size) % 2
+    order = np.lexsort((col, part, np.repeat(np.arange(widths.size), widths)[col]))
+    return col[order], part[order]
 
 
 def _bus_slices(bus_ids, widths):
@@ -248,17 +259,16 @@ class PanelStatistics:
         acov.real is permuted into the gather layout (each bus's Re
         slots, then its Im slots) and then takes the panel path's
         standardisation. n_samples is infinite. The analytic
-        coordinates have no substation, so substation_mi() is None.
+        channels have no substation, so substation_mi() is None.
         """
         _validate_frame_source(frame, "complex")
-        by_bus = {}
-        for j in sorted(range(acov.dim), key=acov.coords.__getitem__):
-            by_bus.setdefault(acov.coords[j][0], []).append(j)
-        bus_ids = list(by_bus)
-        order = [k for js in by_bus.values() for k in js + [j + acov.dim for j in js]]
-        cov = np.asarray(acov.real, dtype=float)[np.ix_(order, order)]
-        slices = _bus_slices(bus_ids, np.array([2 * len(js) for js in by_bus.values()]))
-        return cls._from_cov(cov, slices, bus_ids, frame, "complex", math.inf)
+        widths = acov.masks[1:].sum(axis=1)
+        col, part = _re_im_order(widths)
+        order = part * acov.dim + col
+        cov = acov.real[np.ix_(order, order)]
+        bus_ids = list(range(1, acov.masks.shape[0]))
+        return cls._from_cov(cov, _bus_slices(bus_ids, 2 * widths), bus_ids, frame,
+                             "complex", math.inf)
 
     @classmethod
     def _from_cov(cls, cov, slices, bus_ids, frame, source, n):

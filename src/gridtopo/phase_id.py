@@ -128,9 +128,7 @@ def assign_phases(tree, panel, use_increments=True):
     for parent, child in tree.oriented():
         child_slots = panel.slots(child)
         claimed = tuple(child_slots)
-        parent_phases = out.channels.get(parent)
-        if parent_phases is None:
-            parent_phases = ()
+        parent_phases = out.channels[parent]
         corr = None
         if len(parent_phases) > 0:
             corr = _edge_correlation(z, panel, parent, child)

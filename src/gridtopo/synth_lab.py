@@ -116,11 +116,7 @@ class InjectionSpec:
             return None
         sub = self.covariances[bus_id][np.ix_(idx, idx)]
         if self.reactive_ratio is None:
-            creal = 0.5 * np.block([
-                [sub.real, -sub.imag],
-                [sub.imag, sub.real],
-            ])
-            return _chol_psd(creal)
+            return _chol_psd(0.5 * _real_composite(sub))
         kappa = float(self.reactive_ratio)
         theta = np.asarray(NOMINAL_ANGLES)[list(idx)]
         rot = np.exp(-1j * theta)
@@ -131,6 +127,16 @@ class InjectionSpec:
         Ta = c * np.vstack([np.diag(np.cos(theta)), np.diag(np.sin(theta))])
         Tb = c * kappa * np.vstack([-np.diag(np.sin(theta)), np.diag(np.cos(theta))])
         return np.hstack([Ta @ L, Tb @ L])
+
+
+def _real_composite(m):
+    """[[Re, -Im], [Im, Re]] of a complex matrix, the map it makes on stacked (Re, Im)."""
+    p, q = m.shape
+    out = np.empty((2 * p, 2 * q))
+    out[:p, :q] = out[p:, q:] = m.real
+    out[:p, q:] = -m.imag
+    out[p:, :q] = m.imag
+    return out
 
 
 def _chol_psd(mat):
@@ -177,10 +183,7 @@ class VoltagePanel:
         if self.values.ndim != 2 or self.values.shape[1] != self.masks.sum():
             raise SynthError(f"values must have shape (T, {int(self.masks.sum())}), one "
                              f"column per claimed channel; got {self.values.shape}")
-        empty = np.flatnonzero(~self.masks[1:].any(axis=1)) + 1
-        if empty.size:
-            raise SynthError(f"no channels at bus{'es' * (empty.size > 1)} "
-                             f"{', '.join(map(str, empty))}; only the substation may have none")
+        _refuse_empty_buses(self.masks)
         if self.kind not in ("voltage", "increment"):
             raise SynthError(f"unknown panel kind {self.kind!r}")
 
@@ -215,6 +218,13 @@ class VoltagePanel:
         return tuple(int(t) for t in self.labels[bus_id, self.masks[bus_id]])
 
 
+def _refuse_empty_buses(masks):
+    empty = np.flatnonzero(~masks[1:].any(axis=1)) + 1
+    if empty.size:
+        raise SynthError(f"no channels at bus{'es' * (empty.size > 1)} "
+                         f"{', '.join(map(str, empty))}; only the substation may have none")
+
+
 def identity_labels(masks):
     labels = np.full(masks.shape, -1, dtype=np.int8)
     labels[masks] = np.broadcast_to(np.arange(3, dtype=np.int8), masks.shape)[masks]
@@ -238,16 +248,28 @@ def to_magnitude(panel):
 class AnalyticCovariance:
     """Exact second-order statistics of the stacked voltage increments.
 
-    real is the (2D, 2D) covariance of [Re dV; Im dV] over the present
-    non-slack coordinates listed in coords.
+    real is the (2D, 2D) covariance of [Re dV; Im dV] over the D
+    non-slack channels of masks (n_buses, 3), in panel column order:
+    the columns of a panel after the substation's.
     """
 
     real: np.ndarray
-    coords: list
+    masks: np.ndarray
+
+    def __post_init__(self):
+        self.real = np.asarray(self.real, dtype=float)
+        self.masks = np.asarray(self.masks, dtype=bool)
+        if self.masks.ndim != 2 or self.masks.shape[1] != 3:
+            raise SynthError("masks must have shape (n_buses, 3)")
+        _refuse_empty_buses(self.masks)
+        side = 2 * int(self.masks[1:].sum())
+        if self.real.shape != (side, side):
+            raise SynthError(f"real must have shape ({side}, {side}), two rows per non-slack "
+                             f"channel; got {self.real.shape}")
 
     @property
     def dim(self):
-        return len(self.coords)
+        return self.real.shape[0] // 2
 
 
 class FeederSampler:
@@ -265,34 +287,25 @@ class FeederSampler:
             )
         self.topology = topology
         self.spec = spec
-        self.system = assemble_admittance(topology)
-        D = len(self.system.coords)
-        Yinv = np.linalg.inv(self.system.matrix)
-        A = np.zeros((2 * D, 2 * D))
-        A[:D, :D] = Yinv.real
-        A[:D, D:] = -Yinv.imag
-        A[D:, :D] = Yinv.imag
-        A[D:, D:] = Yinv.real
-        # Horizontal stack of per-bus factors scattered onto the
-        # stacked (Re, Im) coordinate layout; cross-bus independence
-        # makes the overall injection factor block sparse.
-        parts = []
-        for b in topology.buses:
-            if b.is_slack:
-                continue
-            slots = spec.present_slots(b.id)
-            if tuple(slots) != tuple(b.mask.indices):
+        self.masks = topology.masks_array()
+        A = _real_composite(np.linalg.inv(assemble_admittance(topology)))
+        D = A.shape[0] // 2
+        # cross-bus independence makes the injection factor block
+        # diagonal: bus b's (Re, Im) rows at its channels, its own columns
+        F = np.zeros((2 * D, 2 * D))
+        lo = 0
+        for bus in topology.buses[1:]:
+            slots = spec.present_slots(bus.id)
+            if slots != bus.mask.indices:
                 raise SynthError(
-                    f"injection covariance of bus {b.id} covers slots {slots}, "
-                    f"mask has {b.mask.indices}"
+                    f"injection covariance of bus {bus.id} covers slots {slots}, "
+                    f"mask has {bus.mask.indices}"
                 )
-            Fb = spec._real_factor(b.id)
-            rows = [self.system.index[(b.id, s)] for s in slots]
-            rows = np.asarray(rows + [r + D for r in rows])
-            Fb_full = np.zeros((2 * D, Fb.shape[1]))
-            Fb_full[rows, :] = Fb
-            parts.append(Fb_full)
-        F = np.hstack(parts)
+            p = len(slots)
+            Fb = spec._real_factor(bus.id)
+            F[lo:lo + p, 2 * lo:2 * (lo + p)] = Fb[:p]
+            F[D + lo:D + lo + p, 2 * lo:2 * (lo + p)] = Fb[p:]
+            lo += p
         self.D = D
         self.sampling_matrix = A @ F
         self._analytic = None
@@ -300,7 +313,7 @@ class FeederSampler:
     def analytic(self):
         if self._analytic is None:
             S = self.sampling_matrix
-            self._analytic = AnalyticCovariance(real=S @ S.T, coords=list(self.system.coords))
+            self._analytic = AnalyticCovariance(real=S @ S.T, masks=self.masks.copy())
         return self._analytic
 
     def increments(self, T, seed=None, rng=None, slack_sigma=0.0):
@@ -314,9 +327,7 @@ class FeederSampler:
         # at the same seed, which sweeps over data length rely on
         W = rng.standard_normal((T, 2 * D))
         X = W @ self.sampling_matrix.T
-        masks = self.topology.masks_array()
-        # the admittance coordinates are the panel columns after the
-        # substation's, in order
+        masks = self.masks.copy()
         values = np.zeros((T, int(masks.sum())), dtype=complex)
         values[:, values.shape[1] - D:] = X[:, :D] + 1j * X[:, D:]
         if slack_sigma > 0.0:
@@ -581,8 +592,10 @@ def _measurement_columns(text):
     t, b = rows["t"], rows["bus_id"]
     if (slot < 0).any() or t.min() < 0 or b.min() < 0:
         return None
+    if not np.isfinite(rows["magnitude"]).all():
+        return None
     if rows.dtype["angle"] == np.float64:
-        if np.isinf(rows["angle"]).any():
+        if not np.isfinite(rows["angle"]).all():
             return None
         return t, b, slot, rows["magnitude"], rows["angle"]
     if (rows["angle"] != "").any():
@@ -625,6 +638,8 @@ def _checked_measurement_rows(text):
             mag = float(row[3])
         except ValueError:
             raise MeasurementFormatError(f"cannot parse magnitude {row[3]!r}", line_no)
+        if not math.isfinite(mag):
+            raise MeasurementFormatError(f"non-finite magnitude {row[3]!r}", line_no)
         ang_text = row[4].strip()
         present = bool(ang_text)
         if present:
@@ -634,6 +649,8 @@ def _checked_measurement_rows(text):
                 raise MeasurementFormatError(f"cannot parse angle {row[4]!r}", line_no)
             if math.isinf(ang):
                 raise MeasurementFormatError(f"infinite angle {row[4]!r}", line_no)
+            if math.isnan(ang):
+                raise MeasurementFormatError(f"NaN angle {row[4]!r}", line_no)
             angs.append(ang)
         if first_present is None:
             first_present = present

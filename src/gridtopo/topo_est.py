@@ -87,7 +87,6 @@ class EdgeSetEstimate:
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
         seen = {0}
-        order = [0]
         out = []
         queue = [0]
         while queue:
@@ -98,7 +97,6 @@ class EdgeSetEstimate:
                 seen.add(nxt)
                 out.append((cur, nxt))
                 queue.append(nxt)
-                order.append(nxt)
         if len(seen) != len(self.bus_ids) + 1:
             raise TopologyEstimateError("edge set does not reach every bus from the root")
         if include_chords:

@@ -4,7 +4,8 @@ Acceptance tests register one line per criterion through the
 `criteria` fixture; the terminal summary prints them in order so a
 full run ends with a compact pass/fail table. padded and unpadded
 convert between a panel's (T, D) channel block and the (T, n_buses, 3)
-slot grid that some tests index by (bus, slot). dense_reference and
+slot grid that some tests index by (bus, slot), and channel_coords
+names the (bus, slot) of each model-side channel. dense_reference and
 dense_mi are the explicit exact-MI construction, frame transform
 included, that the kernel's analytic statistics are checked against.
 spanning_trees and edge_correlation_margins are brute-force and
@@ -36,6 +37,11 @@ def unpadded(values, masks):
     return np.asarray(values)[:, np.asarray(masks, dtype=bool)]
 
 
+def channel_coords(masks):
+    """(bus, slot) of each non-slack channel, in panel column order after the substation's."""
+    return [(b, s) for b, s in np.argwhere(masks).tolist() if b != 0]
+
+
 def dense_reference(acov, frame):
     """(correlation matrix, {bus: positions}) on the analytic [Re; Im] layout.
 
@@ -44,11 +50,12 @@ def dense_reference(acov, frame):
     """
     D = acov.dim
     B = np.eye(2 * D)
-    owner = np.array([b for b, _ in acov.coords])
+    coords = channel_coords(acov.masks)
+    owner = np.array([b for b, _ in coords])
     pos = {b: np.flatnonzero(owner == b) for b in np.unique(owner).tolist()}
     if frame == "sequence":
         for b, p in pos.items():
-            A = SEQ_H_INV[:len(p)][:, [acov.coords[j][1] for j in p]]
+            A = SEQ_H_INV[:len(p)][:, [coords[j][1] for j in p]]
             B[np.ix_(p, p)] = A.real
             B[np.ix_(p, p + D)] = -A.imag
             B[np.ix_(p + D, p)] = A.imag

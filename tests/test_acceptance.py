@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dense_mi, dense_reference, edge_correlation_margins, spanning_trees
+from conftest import (channel_coords, dense_mi, dense_reference, edge_correlation_margins,
+                      spanning_trees)
 from gridtopo.eval_harness import (
     ScenarioConfig,
     ScenarioContext,
@@ -228,7 +229,7 @@ def test_criterion_05_brute_force_optimality(bus8_analytic,
         kruskal = frozenset(max_weight_spanning_tree(mi).edges)
         S = acov.real
         # each bus's rows of the [Re; Im] layout
-        owner = np.tile([b for b, _ in acov.coords], 2)
+        owner = np.tile([b for b, _ in channel_coords(acov.masks)], 2)
         positions = {b: np.flatnonzero(owner == b) for b in mi.bus_ids}
         marg_inv = {b: np.linalg.inv(S[np.ix_(p, p)])
                     for b, p in positions.items()}

@@ -52,6 +52,15 @@ def test_simulate_topology_file_round_trips(tmp_path):
     assert topo.edge_set() == want.edge_set()
 
 
+def test_simulate_topology_file_names_the_file(tmp_path, capsys):
+    topo = _simulate(tmp_path, samples=50) + ".topology.csv"
+    capsys.readouterr()
+    assert main(["simulate", "--topology", topo, "--samples", "50", "--seed", "2",
+                 "--out", str(tmp_path / "again")]) == 0
+    out = capsys.readouterr().out
+    assert f"(feeder {topo}, seed 2)" in out and "bus33" not in out
+
+
 def test_estimate_recovers_tree_exit_zero(tmp_path, capsys):
     prefix = _simulate(tmp_path)
     out = str(tmp_path / "est.csv")

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from conftest import channel_coords
 from gridtopo.feeders import make_feeder, random_feeder, FEEDER_NAMES
 from gridtopo.grid_model import (
     Branch,
@@ -153,12 +154,50 @@ def test_duplicate_bus_rejected():
 # -- admittance assembly -------------------------------------------------
 
 
+def _scatter_admittance(topology):
+    """assemble_admittance as a per-(bus, slot) scatter of each branch block, in branch order."""
+    index = {c: i for i, c in enumerate(channel_coords(topology.masks_array()))}
+    Y = np.zeros((len(index), len(index)), dtype=complex)
+
+    def scatter(bus_i, bus_k, block, sign):
+        for si in topology.bus(bus_i).mask.indices:
+            row = index.get((bus_i, si))
+            if row is None:
+                continue
+            for sk in topology.bus(bus_k).mask.indices:
+                col = index.get((bus_k, sk))
+                if col is None:
+                    continue
+                Y[row, col] += sign * block[si, sk]
+
+    for br in topology.branches:
+        blk = br.y_block
+        u, v = br.parent, br.child
+        if u != 0:
+            scatter(u, u, blk, -1.0)
+            if v != 0:
+                scatter(u, v, blk, +1.0)
+        if v != 0:
+            scatter(v, v, blk, -1.0)
+            if u != 0:
+                scatter(v, u, blk, +1.0)
+    return Y
+
+
+def test_admittance_equals_the_scatter_loop_bit_for_bit(small_random_feeders):
+    feeders = [make_feeder(name) for name in FEEDER_NAMES]
+    assert any(topo.chords for topo in feeders)
+    for topo in feeders + [t for t, _, _ in small_random_feeders]:
+        got, want = assemble_admittance(topo), _scatter_admittance(topo)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_admittance_block_pattern(bus8):
-    sys = assemble_admittance(bus8)
-    Y = sys.matrix
+    Y = assemble_admittance(bus8)
+    coords = channel_coords(bus8.masks_array())
     tree_pairs = {tuple(sorted(e)) for e in bus8.edge_set(include_root=False)}
     buses = sorted(bus8.non_slack_ids)
-    rows = {b: [j for j, (c, _) in enumerate(sys.coords) if c == b] for b in buses}
+    rows = {b: [j for j, (c, _) in enumerate(coords) if c == b] for b in buses}
     for i in buses:
         for k in buses:
             if i >= k:
@@ -171,11 +210,12 @@ def test_admittance_block_pattern(bus8):
 
 
 def test_admittance_offdiagonal_is_branch_block(bus8):
-    sys = assemble_admittance(bus8)
+    Y = assemble_admittance(bus8)
+    coords = channel_coords(bus8.masks_array())
     br = next(b for b in bus8.branches if b.parent != 0)
-    rows = [j for j, (b, _) in enumerate(sys.coords) if b == br.parent]
-    cols = [j for j, (b, _) in enumerate(sys.coords) if b == br.child]
-    got = sys.matrix[np.ix_(rows, cols)]
+    rows = [j for j, (b, _) in enumerate(coords) if b == br.parent]
+    cols = [j for j, (b, _) in enumerate(coords) if b == br.child]
+    got = Y[np.ix_(rows, cols)]
     pslots = bus8.bus(br.parent).mask.indices
     cslots = bus8.bus(br.child).mask.indices
     want = br.y_block[np.ix_(pslots, cslots)]
@@ -183,7 +223,7 @@ def test_admittance_offdiagonal_is_branch_block(bus8):
 
 
 def test_admittance_diagonal_sums_neighbours(bus8):
-    sys = assemble_admittance(bus8)
+    Y = assemble_admittance(bus8)
     bus = next(b for b in bus8.non_slack_ids if bus8.children_of(b))
     slots = bus8.bus(bus).mask.indices
     total = np.zeros((3, 3), dtype=complex)
@@ -191,15 +231,14 @@ def test_admittance_diagonal_sums_neighbours(bus8):
         if bus in (br.parent, br.child):
             total -= br.y_block
     want = total[np.ix_(slots, slots)]
-    rows = [j for j, (b, _) in enumerate(sys.coords) if b == bus]
-    got = sys.matrix[np.ix_(rows, rows)]
+    rows = [j for j, (b, _) in enumerate(channel_coords(bus8.masks_array())) if b == bus]
+    got = Y[np.ix_(rows, rows)]
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_admittance_nonsingular_random_tree():
     topo = random_feeder(10, seed=42)
-    sys = assemble_admittance(topo)
-    sign, ld = np.linalg.slogdet(sys.matrix)
+    sign, ld = np.linalg.slogdet(assemble_admittance(topo))
     assert abs(sign) > 0 and np.isfinite(ld)
 
 
@@ -213,9 +252,9 @@ def test_two_bus_chain_tridiagonal_analog():
         Branch(parent=1, child=2, mask=mask, line=line, length_miles=1.0),
     ]
     topo = GridTopology(buses=buses, branches=branches, z_base_ohm=10.0)
-    sys = assemble_admittance(topo)
-    assert sys.matrix.shape == (2, 2)
-    assert sys.matrix[0, 1] != 0 and sys.matrix[1, 0] != 0
+    Y = assemble_admittance(topo)
+    assert Y.shape == (2, 2)
+    assert Y[0, 1] != 0 and Y[1, 0] != 0
 
 
 # -- CSV interchange -----------------------------------------------------
@@ -265,6 +304,18 @@ def test_topology_csv_refuses_an_unknown_chord_flag(flag):
     lines = _mesh_csv_lines()
     lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + flag
     with pytest.raises(TopologyFormatError, match=f"line {len(lines)}: bad chord flag '{flag}'"):
+        topology_from_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+@pytest.mark.parametrize("phases", ["aa", "abca"])
+def test_topology_csv_refuses_a_repeated_phase_letter(bus8, phases):
+    buf = io.StringIO()
+    topology_to_csv(bus8, buf)
+    lines = buf.getvalue().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("2,4,"))
+    parent, child, _, rest = lines[row].split(",", 3)
+    lines[row] = ",".join([parent, child, phases, rest])
+    with pytest.raises(TopologyFormatError, match=f"line {row + 1}: bad phases field '{phases}'"):
         topology_from_csv(io.StringIO("\n".join(lines) + "\n"))
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_mi, dense_reference, padded, unpadded
+from conftest import channel_coords, dense_mi, dense_reference, padded, unpadded
 from gridtopo.feeders import random_feeder
 from gridtopo.info_core import (
     SEQ_H_INV,
@@ -38,8 +38,11 @@ from gridtopo.topo_est import estimate_topology
 
 
 def _exact(real, coords, frame="phase"):
-    """Statistics of a hand-built exact covariance over (bus, slot) coords."""
-    acov = AnalyticCovariance(real=np.asarray(real, dtype=float), coords=coords)
+    """Statistics of a hand-built exact covariance over (bus, slot) coords in column order."""
+    masks = np.zeros((max(b for b, _ in coords) + 1, 3), dtype=bool)
+    masks[tuple(zip(*coords))] = True
+    assert channel_coords(masks) == coords
+    acov = AnalyticCovariance(real=np.asarray(real, dtype=float), masks=masks)
     return PanelStatistics.from_analytic(acov, frame)
 
 
@@ -454,19 +457,6 @@ def test_from_analytic_is_infinite_data(bus8_analytic):
     assert np.abs(stats.cov.diagonal() - 1.0).max() <= 1e-12
     assert stats.substation_mi() is None
     stats.require_samples(10 ** 9)
-
-
-def test_from_analytic_orders_coordinates_by_bus_and_slot(bus8_analytic):
-    acov = bus8_analytic
-    perm = np.random.default_rng(3).permutation(acov.dim)
-    full = np.concatenate([perm, perm + acov.dim])
-    shuffled = AnalyticCovariance(real=acov.real[np.ix_(full, full)],
-                                  coords=[acov.coords[j] for j in perm])
-    for frame in ("phase", "sequence"):
-        want = PanelStatistics.from_analytic(acov, frame)
-        got = PanelStatistics.from_analytic(shuffled, frame)
-        assert got.slices == want.slices
-        assert np.array_equal(got.cov, want.cov)
 
 
 def test_from_analytic_rejects_unknown_frame(bus8_analytic):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import padded, unpadded
+from conftest import channel_coords, padded, unpadded
 from gridtopo.feeders import make_feeder, random_feeder
 from gridtopo.grid_model import PHASES
 from gridtopo.synth_lab import (
+    AnalyticCovariance,
     FeederSampler,
     InjectionSpec,
     MeasurementFormatError,
@@ -136,8 +137,21 @@ def test_slack_sigma_puts_noise_on_the_slack(bus8, bus8_spec):
 def test_sampler_analytic_matches_module_helper(bus8, bus8_spec):
     a = FeederSampler(bus8, bus8_spec).analytic()
     b = analytic_cov(bus8, bus8_spec)
-    assert a.coords == b.coords
+    assert np.array_equal(a.masks, b.masks)
     assert np.allclose(a.real, b.real, atol=1e-15)
+
+
+def test_analytic_covariance_refuses_a_wrong_width_or_an_empty_bus(bus8_analytic):
+    real, masks = bus8_analytic.real, bus8_analytic.masks
+    # the substation's channels are not part of the analytic layout
+    side = 2 * int(masks.sum())
+    for bad in (real[:-2, :-2], real[:, :-1], np.eye(side)):
+        with pytest.raises(SynthError, match=r"real must have shape \(\d+, \d+\), two rows"):
+            AnalyticCovariance(real=bad, masks=masks)
+    assert AnalyticCovariance(real=real, masks=masks).dim == int(masks[1:].sum())
+    gap = np.insert(masks, 2, False, axis=0)
+    with pytest.raises(SynthError, match=r"no channels at bus 2;"):
+        AnalyticCovariance(real=real, masks=gap)
 
 
 def test_sample_covariance_approaches_analytic(bus8, bus8_spec, bus8_analytic):
@@ -146,7 +160,7 @@ def test_sample_covariance_approaches_analytic(bus8, bus8_spec, bus8_analytic):
     D = bus8_analytic.dim
     x = np.empty((T, 2 * D))
     grid = padded(panel)
-    for j, (bus, slot) in enumerate(bus8_analytic.coords):
+    for j, (bus, slot) in enumerate(channel_coords(bus8_analytic.masks)):
         x[:, j] = grid[:, bus, slot].real
         x[:, D + j] = grid[:, bus, slot].imag
     emp = np.cov(x, rowvar=False, ddof=1)
@@ -243,7 +257,7 @@ def test_sampler_columns_are_the_admittance_coordinates(name):
     panel = sampler.increments(T, seed=seed)
     X = np.random.default_rng(seed).standard_normal((T, 2 * D)) @ sampler.sampling_matrix.T
     first = len(panel.columns(0))
-    for j, (b, s) in enumerate(sampler.system.coords):
+    for j, (b, s) in enumerate(channel_coords(sampler.masks)):
         col = panel.columns(b)[panel.slots(b).index(s)]
         assert col == first + j
         assert np.array_equal(panel.values[:, col], X[:, j] + 1j * X[:, D + j])
@@ -633,6 +647,11 @@ _GOOD_ROWS = "0,1,a,1.0,0.0\n1,1,a,1.0,0.0\n0,2,b,1.0,0.0\n1,2,b,1.0,0.0\n"
     ("0,2,c,abc,0.0", "cannot parse magnitude"),
     ("0,2,c,1.0,xyz", "cannot parse angle"),
     ("0,2,c,1.0,inf", "infinite angle"),
+    ("0,2,c,1.0,nan", "NaN angle"),
+    ("0,2,c,nan,0.0", "non-finite magnitude 'nan'"),
+    ("0,2,c,inf,0.0", "non-finite magnitude 'inf'"),
+    ("0,2,c,-inf,0.0", "non-finite magnitude '-inf'"),
+    ("0,2,c,nan,nan", "non-finite magnitude"),
     ("1,1,a,1.0,0.0", "duplicate sample for (1, 1, 'a')"),
     ("0,2,c,1.0,", "mixed empty and present angle fields"),
 ])
@@ -675,7 +694,6 @@ def test_panel_csv_names_every_bus_without_rows():
     "".join(reversed(_GOOD_ROWS.splitlines(keepends=True))),
     _GOOD_ROWS.replace("1.0,0.0", "+1.5e-3, -12.25 "),
     _GOOD_ROWS.replace("1.0,0.0", "1.0,"),
-    _GOOD_ROWS.replace("1.0,0.0", "nan,nan"),
 ])
 def test_panel_csv_accepts_what_csv_reader_accepts(body):
     _assert_same_as_reference(_HEADER + "\n" + body)
