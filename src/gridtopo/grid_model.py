@@ -155,19 +155,23 @@ def carson_impedance(line, length_miles, mask):
 def branch_admittance(z, mask):
     """Invert the present-phase submatrix of z, padded back to 3x3.
 
-    Absent phases stay structurally zero. Raises SingularLineError with
-    a condition estimate when the submatrix cannot be inverted.
+    z is one (3, 3) impedance or a stack (..., 3, 3) of impedances that
+    share mask; LAPACK inverts each matrix of a stack on its own, so a
+    stack gives the same bits as one call per matrix. Absent phases stay
+    structurally zero. Raises SingularLineError with a condition estimate
+    when a submatrix cannot be inverted.
     """
     idx = np.asarray(mask.indices)
-    sub = np.asarray(z, dtype=complex)[np.ix_(idx, idx)]
-    cond = np.linalg.cond(sub)
-    if not np.isfinite(cond) or cond > 1e12:
+    sub = np.asarray(z, dtype=complex)[..., idx[:, None], idx]
+    cond = np.ravel(np.linalg.cond(sub))
+    bad = ~(np.isfinite(cond) & (cond <= 1e12))
+    if bad.any():
         raise SingularLineError(
             f"phase impedance submatrix on phases {mask.to_string()} is singular "
-            f"(condition estimate {cond:.3e})"
+            f"(condition estimate {cond[bad][0]:.3e})"
         )
-    y = np.zeros((3, 3), dtype=complex)
-    y[np.ix_(idx, idx)] = np.linalg.inv(sub)
+    y = np.zeros(sub.shape[:-2] + (3, 3), dtype=complex)
+    y[..., idx[:, None], idx] = np.linalg.inv(sub)
     return y
 
 
@@ -222,10 +226,15 @@ class GridTopology:
         if not self.z_base_ohm > 0.0:
             raise GridModelError("z_base_ohm must be positive")
         self._validate_graph()
+        # one stacked inversion per phase mask
+        by_mask = {}
         for br in self.branches:
             if br.y_block is None:
-                z_pu = br.impedance() / self.z_base_ohm
-                br.y_block = branch_admittance(z_pu, br.mask)
+                by_mask.setdefault(br.mask, []).append(br)
+        for mask, group in by_mask.items():
+            z_pu = np.stack([br.impedance() for br in group]) / self.z_base_ohm
+            for br, y in zip(group, branch_admittance(z_pu, mask)):
+                br.y_block = y
 
     def _validate_graph(self):
         n = len(self.buses)

@@ -130,12 +130,12 @@ def _gather_cov(panel, bus_ids, source):
     buses in that order, as _re_im_order lays out their channels
     (complex source) or as one magnitude per claimed slot.
     """
-    lo, hi = panel.columns(bus_ids[0]).start, panel.columns(bus_ids[-1]).stop
+    lo, hi = panel.offsets[bus_ids[0]], panel.offsets[bus_ids[-1] + 1]
     n = panel.n_samples
     rows = np.ascontiguousarray(panel.values)
     parts = rows.view(np.float64)
     if source == "complex":
-        col, part = _re_im_order(panel.masks[bus_ids].sum(axis=1))
+        col, part = _re_im_order(np.diff(panel.offsets[bus_ids[0]:bus_ids[-1] + 2]))
         X = np.take(parts, 2 * (lo + col) + part, axis=1)
     elif panel.magnitude_only:
         X = np.take(parts, 2 * np.arange(lo, hi), axis=1)
@@ -313,8 +313,10 @@ class PanelStatistics:
         idx is an (n, d) array of feature positions. ok[n] is False
         where block n's determinant is not positive and finite; every
         mutual information in this module is a difference of these.
+        The blocks are gathered in one take on flat positions of cov.
         """
-        sign, ld = np.linalg.slogdet(self.cov[idx[:, :, None], idx[:, None, :]])
+        flat = idx[:, :, None] * self.dim + idx[:, None, :]
+        sign, ld = np.linalg.slogdet(np.take(self.cov, flat))
         return ld, (sign > 0) & np.isfinite(ld)
 
     def _logdet(self, buses):
@@ -364,7 +366,16 @@ class PanelStatistics:
         table = np.zeros((M, dims.max() if M else 0), dtype=np.intp)
         for row, b in zip(table, buses):
             row[:len(self.slices[b])] = self.slices[b]
-        marg = np.array([self._logdet([b]) for b in buses])
+        # the buses' own log-determinants, one batch per bus width
+        marg = np.empty(M)
+        good = np.empty(M, dtype=bool)
+        for d in np.unique(dims).tolist():
+            sel = np.flatnonzero(dims == d)
+            marg[sel], good[sel] = self._logdets(table[sel, :d])
+        if not good.all():
+            bad = buses[int(np.flatnonzero(~good)[0])]
+            raise SingularCovarianceError(f"singular covariance for buses {[bad]}")
+        self._marginal.update(zip(buses, marg.tolist()))
         ii, kk = np.triu_indices(M, 1)
         joint = dims[ii] + dims[kk]
         values = np.zeros((M, M))

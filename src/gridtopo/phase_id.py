@@ -79,7 +79,7 @@ def _unit_series(panel, use_increments=True):
         mags = np.diff(mags, axis=0)
     if mags.shape[0] < MIN_SAMPLES:
         raise PhaseIdError(f"need at least {MIN_SAMPLES} samples, got {mags.shape[0]}")
-    z = np.ascontiguousarray((mags - mags.mean(axis=0)).T)
+    z = np.subtract(mags.T, mags.mean(axis=0)[:, None], order="C")
     with np.errstate(invalid="ignore", divide="ignore"):
         z /= np.sqrt(np.sum(z * z, axis=1))[:, None]
     return z
@@ -87,7 +87,42 @@ def _unit_series(panel, use_increments=True):
 
 def _edge_correlation(z, panel, parent, child):
     """(P, C) Pearson correlations of two buses' channels, read from z."""
-    return z[panel.columns(parent)] @ z[panel.columns(child)].T
+    off = panel.offsets
+    return z[off[parent]:off[parent + 1]] @ z[off[child]:off[child + 1]].T
+
+
+def _scored_maps(z, panel, edges, floor):
+    """Score every injective child-to-parent channel map of every edge.
+
+    Returns, per edge, the (score, map) pairs of the maps that pair at
+    least one significant correlation, map[j] being the parent channel
+    of child channel j and the maps listed in itertools.permutations
+    order; empty when the parent has no channels or fewer than the
+    child. A score sums the map's correlations of magnitude at least
+    floor, in child channel order; NaN ones do not count. Edges are
+    scored against one permutation table per (parent width, child
+    width), all edges of a width pair in one batch.
+    """
+    width = np.diff(panel.offsets).tolist()
+    groups = {}
+    for e, (parent, child) in enumerate(edges):
+        if width[child] <= width[parent]:
+            groups.setdefault((width[parent], width[child]), []).append(e)
+    out = [[] for _ in edges]
+    for (P, C), members in groups.items():
+        maps = list(itertools.permutations(range(P), C))
+        corr = np.stack([_edge_correlation(z, panel, *edges[e]) for e in members])
+        with np.errstate(invalid="ignore"):
+            corr = np.where(np.abs(corr) >= floor, corr, np.nan)
+        vals = corr[:, np.array(maps, dtype=np.intp), np.arange(C)]
+        ok = np.isfinite(vals)
+        # a running sum from 0.0 in child channel order, as a loop would add
+        scores = np.zeros(vals.shape[:2])
+        for ch in range(C):
+            scores = scores + np.where(ok[..., ch], vals[..., ch], 0.0)
+        for e, sc, used in zip(members, scores.tolist(), ok.any(axis=2).tolist()):
+            out[e] = [(score, m) for m, score, u in zip(maps, sc, used) if u]
+    return out
 
 
 def assign_phases(tree, panel, use_increments=True):
@@ -120,35 +155,19 @@ def assign_phases(tree, panel, use_increments=True):
     floor = _SIG_Z / math.sqrt(z.shape[1])
 
     # substation: claimed labels trusted
-    root_slots = panel.slots(0)
-    out.channels[0] = tuple(root_slots)
+    out.channels[0] = panel.slots(0)
     out.margins[0] = math.inf
     out.statuses[0] = "assumed"
 
-    for parent, child in tree.oriented():
-        child_slots = panel.slots(child)
-        claimed = tuple(child_slots)
+    # a bus's map holds one phase per channel, so the scores of an
+    # edge do not depend on the maps above it; only the ranking below,
+    # whose ties break on the parent's phases, waits for the parent
+    edges = tree.oriented()
+    for (parent, child), scored in zip(edges, _scored_maps(z, panel, edges, floor)):
         parent_phases = out.channels[parent]
-        corr = None
-        if len(parent_phases) > 0:
-            corr = _edge_correlation(z, panel, parent, child)
-            with np.errstate(invalid="ignore"):
-                corr = np.where(np.abs(corr) >= floor, corr, np.nan)
-        n_child = len(claimed)
-        candidates = []
-        if corr is not None and len(parent_phases) >= n_child:
-            for combo in itertools.permutations(range(len(parent_phases)), n_child):
-                score = 0.0
-                used = 0
-                for ch, pch in enumerate(combo):
-                    v = corr[pch, ch]
-                    if np.isfinite(v):
-                        score += float(v)
-                        used += 1
-                if used > 0:
-                    candidates.append((score, tuple(parent_phases[p] for p in combo)))
+        candidates = [(score, tuple(parent_phases[p] for p in m)) for score, m in scored]
         if not candidates:
-            out.channels[child] = claimed
+            out.channels[child] = panel.slots(child)
             out.margins[child] = math.inf
             if parent == 0:
                 # constant substation series: fall back to the trusted

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.special
 
 from .grid_model import PHASES, assemble_admittance, csv_rows, text_file, write_csv
 
@@ -128,14 +129,33 @@ class InjectionSpec:
         Tb = c * kappa * np.vstack([-np.diag(np.sin(theta)), np.diag(np.cos(theta))])
         return np.hstack([Ta @ L, Tb @ L])
 
+    def _real_factors(self, bus_ids, slots):
+        """_real_factor of each bus in bus_ids, stacked; slots (n, p) are their present slots.
+
+        A circular spec takes one batched Cholesky, which LAPACK runs
+        block by block, so the bits are those of one call per bus.
+        Directional specs, and a stack with a semidefinite block, go bus
+        by bus.
+        """
+        if self.reactive_ratio is None:
+            sub = self.covariances[bus_ids[:, None, None], slots[:, :, None], slots[:, None, :]]
+            try:
+                return np.linalg.cholesky(0.5 * _real_composite(sub))
+            except np.linalg.LinAlgError:
+                pass
+        return np.stack([self._real_factor(b) for b in bus_ids.tolist()])
+
 
 def _real_composite(m):
-    """[[Re, -Im], [Im, Re]] of a complex matrix, the map it makes on stacked (Re, Im)."""
-    p, q = m.shape
-    out = np.empty((2 * p, 2 * q))
-    out[:p, :q] = out[p:, q:] = m.real
-    out[:p, q:] = -m.imag
-    out[p:, :q] = m.imag
+    """[[Re, -Im], [Im, Re]] of a complex matrix, the map it makes on stacked (Re, Im).
+
+    A stack (..., p, q) maps matrix by matrix.
+    """
+    p, q = m.shape[-2:]
+    out = np.empty(m.shape[:-2] + (2 * p, 2 * q))
+    out[..., :p, :q] = out[..., p:, q:] = m.real
+    out[..., :p, q:] = -m.imag
+    out[..., p:, :q] = m.imag
     return out
 
 
@@ -159,8 +179,10 @@ class VoltagePanel:
     """Time series of per-bus per-phase voltages or voltage increments.
 
     values: (T, D) complex, one column per claimed slot of masks
-    (n_buses, 3), bus by bus and then slot by slot; columns(b) is the
-    one map from a bus to its columns. For magnitude-only panels the
+    (n_buses, 3), bus by bus and then slot by slot. offsets, built once
+    from masks, is the one map from a bus to its columns: bus b owns
+    columns offsets[b]:offsets[b + 1] (columns(b)), so masks is fixed
+    once the panel exists. For magnitude-only panels the
     values are real magnitudes stored in the real part and the angle is
     undefined (exported empty). labels[b, s] gives the true phase index
     of the data sitting in claimed slot s, so corrupted panels keep
@@ -186,6 +208,7 @@ class VoltagePanel:
         _refuse_empty_buses(self.masks)
         if self.kind not in ("voltage", "increment"):
             raise SynthError(f"unknown panel kind {self.kind!r}")
+        self.offsets = np.concatenate(([0], np.cumsum(self.masks.sum(axis=1))))
 
     @property
     def n_samples(self):
@@ -200,12 +223,11 @@ class VoltagePanel:
 
     def columns(self, bus_id):
         """Columns of values holding bus_id's claimed channels, slot order."""
-        lo = int(self.masks[:bus_id].sum())
-        return range(lo, lo + int(self.masks[bus_id].sum()))
+        return range(self.offsets[bus_id], self.offsets[bus_id + 1])
 
     def channels(self, bus_id):
         """(T, p) series of the claimed slots, ascending slot order."""
-        return self.values[:, self.columns(bus_id)]
+        return self.values[:, self.offsets[bus_id]:self.offsets[bus_id + 1]]
 
     def copy(self):
         return VoltagePanel(
@@ -288,24 +310,30 @@ class FeederSampler:
         self.topology = topology
         self.spec = spec
         self.masks = topology.masks_array()
+        present = np.real(np.diagonal(spec.covariances, axis1=1, axis2=2)) > 0.0
+        wrong = np.flatnonzero((present != self.masks)[1:].any(axis=1)) + 1
+        if wrong.size:
+            b = int(wrong[0])
+            raise SynthError(
+                f"injection covariance of bus {b} covers slots {spec.present_slots(b)}, "
+                f"mask has {topology.bus(b).mask.indices}"
+            )
         A = _real_composite(np.linalg.inv(assemble_admittance(topology)))
         D = A.shape[0] // 2
         # cross-bus independence makes the injection factor block
-        # diagonal: bus b's (Re, Im) rows at its channels, its own columns
+        # diagonal: bus b's (Re, Im) rows at its channels, its own
+        # columns; buses of one width are factored and placed together
         F = np.zeros((2 * D, 2 * D))
-        lo = 0
-        for bus in topology.buses[1:]:
-            slots = spec.present_slots(bus.id)
-            if slots != bus.mask.indices:
-                raise SynthError(
-                    f"injection covariance of bus {bus.id} covers slots {slots}, "
-                    f"mask has {bus.mask.indices}"
-                )
-            p = len(slots)
-            Fb = spec._real_factor(bus.id)
-            F[lo:lo + p, 2 * lo:2 * (lo + p)] = Fb[:p]
-            F[D + lo:D + lo + p, 2 * lo:2 * (lo + p)] = Fb[p:]
-            lo += p
+        widths = self.masks[1:].sum(axis=1)
+        starts = np.cumsum(widths) - widths
+        for p in np.unique(widths).tolist():
+            sel = np.flatnonzero(widths == p)
+            slots = np.nonzero(self.masks[sel + 1])[1].reshape(-1, p)
+            Fb = spec._real_factors(sel + 1, slots)
+            rows = (starts[sel, None] + np.arange(p))[:, :, None]
+            cols = (2 * starts[sel, None] + np.arange(2 * p))[:, None, :]
+            F[rows, cols] = Fb[:, :p]
+            F[D + rows, cols] = Fb[:, p:]
         self.D = D
         self.sampling_matrix = A @ F
         self._analytic = None
@@ -317,23 +345,31 @@ class FeederSampler:
         return self._analytic
 
     def increments(self, T, seed=None, rng=None, slack_sigma=0.0):
-        """Increment panel of T samples; optional slack common-mode term."""
+        """Increment panel of T samples; optional slack common-mode term.
+
+        The normals are drawn time-major, the slack term's from a stream
+        spawned from rng, so at one seed the first T samples of a longer
+        run come from the same normals, as data-length sweeps need. They
+        agree to rounding, and to the last bit in every row that the
+        BLAS product with the sampling matrix computes the same way at
+        both lengths; OpenBLAS does not past its kernel's last full row
+        block, nor in a run of a few dozen samples.
+        """
         if T < 1:
             raise SynthError("need at least one increment sample")
         if rng is None:
             rng = np.random.default_rng(self.spec.seed if seed is None else seed)
         D = self.D
-        # time-major draw so a shorter run is a prefix of a longer one
-        # at the same seed, which sweeps over data length rely on
         W = rng.standard_normal((T, 2 * D))
         X = W @ self.sampling_matrix.T
         masks = self.masks.copy()
         values = np.zeros((T, int(masks.sum())), dtype=complex)
-        values[:, values.shape[1] - D:] = X[:, :D] + 1j * X[:, D:]
+        block = values[:, values.shape[1] - D:]
+        block.real = X[:, :D]
+        block.imag = X[:, D:]
         if slack_sigma > 0.0:
-            dv0 = (slack_sigma / math.sqrt(2.0)) * (
-                rng.standard_normal((T, 3)) + 1j * rng.standard_normal((T, 3))
-            )
+            z = rng.spawn(1)[0].standard_normal((T, 2, 3))
+            dv0 = (slack_sigma / math.sqrt(2.0)) * (z[:, 0] + 1j * z[:, 1])
             values += dv0[:, np.nonzero(masks)[1]]
         return VoltagePanel(
             values=values, masks=masks, labels=identity_labels(masks),
@@ -364,13 +400,12 @@ def integrate_voltages(panel):
     T, D = panel.values.shape
     true = np.where(panel.labels >= 0, panel.labels, np.arange(3))[panel.masks]
     v0 = np.ones(D) if panel.magnitude_only else np.exp(1j * np.asarray(NOMINAL_ANGLES)[true])
-    out = np.zeros((T + 1, D), dtype=complex)
+    out = np.empty((T + 1, D), dtype=complex)
     out[0] = v0
-    out[1:] = v0 + np.cumsum(panel.values, axis=0)
-    res = panel.copy()
-    res.values = out
-    res.kind = "voltage"
-    return res
+    np.cumsum(panel.values, axis=0, out=out[1:])
+    out[1:] += v0
+    return VoltagePanel(values=out, masks=panel.masks.copy(), labels=panel.labels.copy(),
+                        kind="voltage", magnitude_only=panel.magnitude_only)
 
 
 # ---------------------------------------------------------------------
@@ -383,7 +418,10 @@ class NoiseSpec:
     """Relative magnitude noise: |v| scaled by (1 + eps), |eps| <= bound.
 
     distribution is 'uniform' on [-bound, bound] or 'gaussian', a normal
-    with sigma bound/3 truncated at +-bound. Angles are never touched.
+    with sigma bound/3 truncated at +-bound. Either way eps takes one
+    uniform per sample, in time order, so the noise on the first T
+    samples does not depend on the panel's length. Angles are never
+    touched.
     """
 
     bound: float
@@ -406,12 +444,10 @@ def apply_noise(panel, noise, seed=0):
     if noise.distribution == "uniform":
         eps = rng.uniform(-noise.bound, noise.bound, size=n)
     else:
-        sigma = noise.bound / 3.0
-        eps = rng.normal(0.0, sigma, size=n)
-        bad = np.abs(eps) > noise.bound
-        while bad.any():
-            eps[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-            bad = np.abs(eps) > noise.bound
+        # inverse CDF of the normal truncated at +-3 sigma
+        tail = scipy.special.ndtr(-3.0)
+        eps = (noise.bound / 3.0) * scipy.special.ndtri(rng.uniform(tail, 1.0 - tail, size=n))
+        np.clip(eps, -noise.bound, noise.bound, out=eps)
     out.values = out.values * (1.0 + eps).reshape(out.values.shape)
     return out
 
@@ -448,7 +484,7 @@ def corrupt_labels(panel, fraction, seed=0, protect=()):
     chosen = sorted(rng.choice(eligible, size=count, replace=False)) if count else []
     for b in chosen:
         slots = np.flatnonzero(out.masks[b])
-        cols = np.asarray(out.columns(b))
+        cols = np.arange(out.offsets[b], out.offsets[b + 1])
         p = len(slots)
         perm = np.arange(p)
         while np.array_equal(perm, np.arange(p)):

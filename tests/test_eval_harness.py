@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from gridtopo.eval_harness import (
     EvalError,
     ScenarioConfig,
     build_context,
+    draw_panel,
     edge_errors,
     error_rate,
     estimate_topology,
@@ -248,6 +250,19 @@ def test_sweep_shares_draws_across_points():
     reports = sweep(cfg, "data_length", [100, 200], replicates=3, base_seed=5)
     assert [r.value for r in reports] == [100, 200]
     assert reports[0].seeds == reports[1].seeds
+
+
+@pytest.mark.parametrize("slack_sigma", [0.0, 0.01])
+@pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+def test_shorter_record_is_a_prefix_of_the_longer_draw(distribution, slack_sigma):
+    cfg = ScenarioConfig(feeder="bus33", n_samples=1441, noise_bound=0.002,
+                         noise_distribution=distribution, slack_sigma=slack_sigma,
+                         label_fraction=0.1)
+    ctx = build_context(cfg)
+    long = draw_panel(ctx, 12)
+    short = draw_panel(dataclasses.replace(ctx, config=cfg.replaced(n_samples=241)), 12)
+    assert short.values.tobytes() == long.values[:241].tobytes()
+    assert np.array_equal(short.labels, long.labels)
 
 
 def test_sweep_rejects_unknown_axis():

@@ -103,6 +103,31 @@ def test_branch_admittance_singular_raises():
     z[0, 1] = z[1, 0] = 1.0  # rank-1 present block
     with pytest.raises(SingularLineError):
         branch_admittance(z, PhaseMask.from_string("ab"))
+    # one singular impedance anywhere in a stack fails the stack
+    line = LineModel(r_per_mile=1.5)
+    good = carson_impedance(line, 1.0, PhaseMask.from_string("ab"))
+    with pytest.raises(SingularLineError, match="phases ab is singular"):
+        branch_admittance(np.stack([good, z, good]), PhaseMask.from_string("ab"))
+
+
+def _branch_admittance_reference(z, mask):
+    """branch_admittance as written for one branch: its own cond and inv."""
+    idx = np.asarray(mask.indices)
+    sub = np.asarray(z, dtype=complex)[np.ix_(idx, idx)]
+    cond = np.linalg.cond(sub)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularLineError("singular")
+    y = np.zeros((3, 3), dtype=complex)
+    y[np.ix_(idx, idx)] = np.linalg.inv(sub)
+    return y
+
+
+def test_stacked_admittances_equal_the_per_branch_inversion_bit_for_bit(small_random_feeders):
+    feeders = [make_feeder(name) for name in FEEDER_NAMES]
+    for topo in feeders + [t for t, _, _ in small_random_feeders]:
+        for br in topo.branches:
+            want = _branch_admittance_reference(br.impedance() / topo.z_base_ohm, br.mask)
+            assert br.y_block.shape == (3, 3) and br.y_block.tobytes() == want.tobytes()
 
 
 # -- topology graph ------------------------------------------------------

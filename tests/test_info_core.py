@@ -14,6 +14,7 @@ from gridtopo.info_core import (
     MIComputationError,
     MIMatrix,
     PanelStatistics,
+    SOURCES,
     SingularCovarianceError,
     difference,
     from_sequence,
@@ -352,6 +353,23 @@ def test_exact_mi_matrix_equals_the_per_pair_loop_bit_for_bit(small_random_feede
         assert np.array_equal(stats.mi_matrix().values, _all_pairs_loop_reference(stats))
 
 
+def test_batched_marginals_equal_the_per_bus_logdet_bit_for_bit(bus8, bus8_spec,
+                                                                small_random_feeders):
+    """mi_matrix's bus log-determinants, one batch per width, against one call per bus."""
+    makers = [lambda acov=acov: PanelStatistics.from_analytic(acov)
+              for _, _, acov in small_random_feeders]
+    for slack_sigma in (0.0, 0.01):
+        panel = generate_increments(bus8, bus8_spec, T=400, seed=21, slack_sigma=slack_sigma)
+        makers += [lambda panel=panel, source=source: PanelStatistics(panel, source=source)
+                   for source in SOURCES]
+    for make in makers:
+        batched, single = make(), make()
+        batched.mi_matrix()
+        buses = [b for b in single.bus_ids if b != 0]
+        assert ([batched._marginal[b].hex() for b in buses]
+                == [single._logdet([b]).hex() for b in buses])
+
+
 def test_mi_matrix_names_every_singular_pair(bus8, bus8_spec):
     panel = _inc(bus8, bus8_spec, 600, 16)
     grid = padded(panel)
@@ -583,7 +601,7 @@ def test_substation_mi_reads_the_estimator_statistics(bus8, bus8_spec, frame, so
 def test_magnitude_rooting_does_not_depend_on_the_frame(bus8, bus8_spec):
     # a weak common mode whose substation MI sits between the chi-square
     # thresholds of one and of two parameters per cross-covariance entry
-    inc = generate_increments(bus8, bus8_spec, T=500, seed=0, slack_sigma=5e-4)
+    inc = generate_increments(bus8, bus8_spec, T=500, seed=6, slack_sigma=5e-4)
     volts = integrate_voltages(inc)
     found = {}
     for frame in ("phase", "sequence"):
@@ -591,7 +609,7 @@ def test_magnitude_rooting_does_not_depend_on_the_frame(bus8, bus8_spec):
         found[frame] = (est.root_edge, substation_mi(inc, frame=frame, source="magnitude"))
     assert found["phase"][0] == (0, 1)
     assert found["sequence"] == found["phase"]
-    assert found["phase"][1][1] == pytest.approx(0.035353, abs=1e-6)
+    assert found["phase"][1][1] == pytest.approx(0.036742, abs=1e-6)
 
 
 def test_substation_points_at_copied_bus(bus8, bus8_spec, rng):

@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import edge_correlation_margins, padded
-from gridtopo.feeders import make_feeder
+from gridtopo.feeders import FEEDER_NAMES, make_feeder
 from gridtopo.phase_id import (
     MIN_SAMPLES,
+    PhaseAssignment,
     PhaseIdError,
     assign_phases,
     assignment_accuracy,
@@ -15,9 +17,12 @@ from gridtopo.phase_id import (
     _unit_series,
 )
 from gridtopo.synth_lab import (
+    FeederSampler,
     InjectionSpec,
+    VoltagePanel,
     corrupt_labels,
     generate_increments,
+    identity_labels,
     integrate_voltages,
     to_magnitude,
 )
@@ -163,6 +168,99 @@ def test_assignment_csv(tmp_path, bus8, bus8_spec):
     assert lines[0] == "bus_id,channel,assigned_phase,margin"
     n_channels = sum(len(volts.slots(b)) for b in range(volts.n_buses))
     assert len(lines) - 1 == n_channels
+
+
+def _assign_phases_reference(tree, panel, use_increments=True):
+    """assign_phases as written edge by edge: its own unit series and
+    correlation copies, every permutation scored in a Python loop."""
+    mags = panel.values.real if panel.magnitude_only else np.abs(panel.values)
+    if use_increments:
+        mags = np.diff(mags, axis=0)
+    z = np.ascontiguousarray((mags - mags.mean(axis=0)).T)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z /= np.sqrt(np.sum(z * z, axis=1))[:, None]
+    floor = 3.2905 / math.sqrt(z.shape[1])
+    out = PhaseAssignment()
+    out.channels[0] = tuple(panel.slots(0))
+    out.margins[0] = math.inf
+    out.statuses[0] = "assumed"
+    for parent, child in tree.oriented():
+        claimed = tuple(panel.slots(child))
+        parent_phases = out.channels[parent]
+        corr = None
+        if len(parent_phases) > 0:
+            corr = z[panel.columns(parent)] @ z[panel.columns(child)].T
+            with np.errstate(invalid="ignore"):
+                corr = np.where(np.abs(corr) >= floor, corr, np.nan)
+        candidates = []
+        if corr is not None and len(parent_phases) >= len(claimed):
+            for combo in itertools.permutations(range(len(parent_phases)), len(claimed)):
+                score, used = 0.0, 0
+                for ch, pch in enumerate(combo):
+                    v = corr[pch, ch]
+                    if np.isfinite(v):
+                        score += float(v)
+                        used += 1
+                if used > 0:
+                    candidates.append((score, tuple(parent_phases[p] for p in combo)))
+        if not candidates:
+            out.channels[child] = claimed
+            out.margins[child] = math.inf
+            if parent == 0:
+                out.statuses[child] = "assumed"
+            else:
+                out.statuses[child] = "unknown"
+                out.warnings.append(
+                    f"bus {child}: no informative correlation with parent {parent}; "
+                    "claimed labels kept"
+                )
+            continue
+        candidates.sort(key=lambda sc: (-sc[0], sc[1]))
+        out.channels[child] = candidates[0][1]
+        out.margins[child] = (candidates[0][0] - candidates[1][0]
+                              if len(candidates) > 1 else math.inf)
+        out.statuses[child] = "resolved"
+    return out
+
+
+def _oracle_panels(topo):
+    """Voltage panels that reach every branch of assign_phases."""
+    sampler = FeederSampler(topo, InjectionSpec.random(topo, seed=5))
+    head = min(topo.children_of(0))
+    steady = integrate_voltages(sampler.increments(400, seed=2))
+    swinging = integrate_voltages(sampler.increments(400, seed=2, slack_sigma=0.01))
+    panels = [steady, swinging, to_magnitude(swinging), integrate_voltages(
+        sampler.increments(MIN_SAMPLES, seed=3, slack_sigma=0.01))]
+    panels += [corrupt_labels(p, 0.5, seed=9, protect=(head,)) for p in (steady, swinging)]
+    dead = swinging.copy()
+    dead.values[:, dead.columns(head)] = dead.values[0, dead.columns(head)]
+    masks = steady.masks.copy()
+    masks[0] = False  # an unmetered substation
+    unmetered = VoltagePanel(values=steady.values[:, steady.columns(1).start:], masks=masks,
+                             labels=identity_labels(masks))
+    return panels + [dead, unmetered]
+
+
+def test_assign_phases_equals_the_per_edge_loop(small_random_feeders):
+    feeders = [make_feeder(name) for name in FEEDER_NAMES]
+    statuses = set()
+    for topo in feeders + [t for t, _, _ in small_random_feeders]:
+        tree = attach_root(
+            EdgeSetEstimate(bus_ids=tuple(sorted(topo.non_slack_ids)),
+                            edges=tuple(topo.edge_set(include_root=False,
+                                                      include_chords=False))),
+            declared_root=min(topo.children_of(0)))
+        for panel in _oracle_panels(topo):
+            for use_increments in (True, False):
+                got = assign_phases(tree, panel, use_increments=use_increments)
+                want = _assign_phases_reference(tree, panel, use_increments)
+                assert got.channels == want.channels
+                assert ({b: m.hex() for b, m in got.margins.items()}
+                        == {b: m.hex() for b, m in want.margins.items()})
+                assert got.statuses == want.statuses
+                assert got.warnings == want.warnings
+                statuses.update(got.statuses.values())
+    assert statuses == {"assumed", "resolved", "unknown"}
 
 
 # -- diagnostics ---------------------------------------------------------

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from conftest import channel_coords, padded, unpadded
-from gridtopo.feeders import make_feeder, random_feeder
-from gridtopo.grid_model import PHASES
+from gridtopo.feeders import FEEDER_NAMES, make_feeder, random_feeder
+from gridtopo.grid_model import PHASES, assemble_admittance
 from gridtopo.synth_lab import (
     AnalyticCovariance,
     FeederSampler,
     InjectionSpec,
     MeasurementFormatError,
+    NOMINAL_ANGLES,
     NoiseSpec,
     SynthError,
     VoltagePanel,
@@ -28,6 +30,7 @@ from gridtopo.synth_lab import (
     panel_from_csv,
     panel_to_csv,
     to_magnitude,
+    _real_composite,
 )
 from gridtopo.info_core import difference
 
@@ -123,9 +126,10 @@ def test_generate_increments_shape_and_slack(bus8, bus8_spec):
     assert np.array_equal(panel.labels, identity_labels(panel.masks))
 
 
-def test_generate_increments_prefix_stable(bus8, bus8_spec):
-    short = generate_increments(bus8, bus8_spec, T=100, seed=7)
-    long = generate_increments(bus8, bus8_spec, T=500, seed=7)
+@pytest.mark.parametrize("slack_sigma", [0.0, 0.01])
+def test_generate_increments_prefix_stable(bus8, bus8_spec, slack_sigma):
+    short = generate_increments(bus8, bus8_spec, T=100, seed=7, slack_sigma=slack_sigma)
+    long = generate_increments(bus8, bus8_spec, T=500, seed=7, slack_sigma=slack_sigma)
     assert np.array_equal(short.values, long.values[:100])
 
 
@@ -265,6 +269,66 @@ def test_sampler_columns_are_the_admittance_coordinates(name):
     assert first > 0 and np.all(panel.channels(0) == 0)
 
 
+def _reference_sampling_matrix(topo, spec):
+    """FeederSampler.sampling_matrix with the injection factor built bus by bus."""
+    A = _real_composite(np.linalg.inv(assemble_admittance(topo)))
+    D = A.shape[0] // 2
+    F = np.zeros((2 * D, 2 * D))
+    lo = 0
+    for bus in topo.buses[1:]:
+        p = bus.mask.count
+        Fb = spec._real_factor(bus.id)
+        F[lo:lo + p, 2 * lo:2 * (lo + p)] = Fb[:p]
+        F[D + lo:D + lo + p, 2 * lo:2 * (lo + p)] = Fb[p:]
+        lo += p
+    return A @ F
+
+
+def _reference_increments(sampler, T, seed):
+    """FeederSampler.increments without slack, the complex block built from two temporaries."""
+    D = sampler.D
+    X = np.random.default_rng(seed).standard_normal((T, 2 * D)) @ sampler.sampling_matrix.T
+    values = np.zeros((T, int(sampler.masks.sum())), dtype=complex)
+    values[:, values.shape[1] - D:] = X[:, :D] + 1j * X[:, D:]
+    return values
+
+
+def _reference_integrate(panel):
+    """integrate_voltages' values: flat start plus a separate cumulative sum."""
+    true = np.where(panel.labels >= 0, panel.labels, np.arange(3))[panel.masks]
+    v0 = (np.ones(panel.values.shape[1]) if panel.magnitude_only
+          else np.exp(1j * np.asarray(NOMINAL_ANGLES)[true]))
+    out = np.zeros((panel.n_samples + 1, panel.values.shape[1]), dtype=complex)
+    out[0] = v0
+    out[1:] = v0 + np.cumsum(panel.values, axis=0)
+    return out
+
+
+def _oracle_specs(topo, seed):
+    """Circular, directional and semidefinite (rank-one phase blocks) specs."""
+    return [InjectionSpec.random(topo, seed=seed),
+            InjectionSpec.random(topo, seed=seed, reactive_ratio=0.4),
+            InjectionSpec.random(topo, seed=seed, phase_corr=1.0)]
+
+
+def test_sampler_and_draws_equal_the_per_bus_construction_bit_for_bit(small_random_feeders):
+    feeders = [make_feeder(name) for name in FEEDER_NAMES]
+    for topo in feeders + [t for t, _, _ in small_random_feeders]:
+        for spec in _oracle_specs(topo, 4):
+            sampler = FeederSampler(topo, spec)
+            want = _reference_sampling_matrix(topo, spec)
+            assert sampler.sampling_matrix.tobytes() == want.tobytes()
+            for T in (1, 7, 240):
+                inc = sampler.increments(T, seed=T)
+                assert inc.values.tobytes() == _reference_increments(sampler, T, T).tobytes()
+                for panel in (inc, to_magnitude(inc)):
+                    volts = integrate_voltages(panel)
+                    assert volts.values.tobytes() == _reference_integrate(panel).tobytes()
+                    assert (volts.kind, volts.magnitude_only) == ("voltage", panel.magnitude_only)
+                    assert np.array_equal(volts.masks, panel.masks)
+                    assert np.array_equal(volts.labels, panel.labels)
+
+
 def _reference_noise(grid, masks, noise, seed):
     """apply_noise as written for the (T, n_buses, 3) slot grid."""
     rng = np.random.default_rng(seed)
@@ -273,12 +337,9 @@ def _reference_noise(grid, masks, noise, seed):
     if noise.distribution == "uniform":
         eps = rng.uniform(-noise.bound, noise.bound, size=n)
     else:
-        sigma = noise.bound / 3.0
-        eps = rng.normal(0.0, sigma, size=n)
-        bad = np.abs(eps) > noise.bound
-        while bad.any():
-            eps[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-            bad = np.abs(eps) > noise.bound
+        tail = scipy.special.ndtr(-3.0)
+        eps = (noise.bound / 3.0) * scipy.special.ndtri(rng.uniform(tail, 1.0 - tail, size=n))
+        np.clip(eps, -noise.bound, noise.bound, out=eps)
     factor = np.ones(grid.shape)
     factor[sel] = 1.0 + eps
     return grid * factor
