@@ -373,11 +373,25 @@ TOPOLOGY_COLUMNS = [
 CHORD_FLAGS = {"": False, "0": False, "1": True}
 
 
-def text_file(path_or_buf, mode="r"):
+def _is_path(path_or_buf):
+    return isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
+
+
+def text_file(path_or_buf, mode):
     """Open a path with newline="" (csv's rule), or pass a text buffer through."""
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+    if _is_path(path_or_buf):
         return open(path_or_buf, mode, newline="")
     return contextlib.nullcontext(path_or_buf)
+
+
+def read_bytes(path_or_buf):
+    """The whole input as bytes: a path read as it is stored, a text
+    buffer's content encoded as UTF-8. Readers decode it through
+    csv_rows, so an undecodable byte is reported with its line."""
+    if _is_path(path_or_buf):
+        with open(path_or_buf, "rb") as fh:
+            return fh.read()
+    return path_or_buf.read().encode()
 
 
 def write_csv(path_or_buf, header, rows):
@@ -388,13 +402,19 @@ def write_csv(path_or_buf, header, rows):
         w.writerows(rows)
 
 
-def csv_rows(text, error):
+def csv_rows(data, error):
     """Yield (line_no, row) for the header and every non-blank row after it.
 
-    line_no is the physical line the row ends on, so it stays right
-    after a quoted field that spans lines. A csv.Error becomes
-    error(message, line_no) at the row where it happens.
+    data is UTF-8 bytes. line_no is the physical line the row ends on,
+    so it stays right after a quoted field that spans lines. A byte that
+    is not UTF-8 becomes error(message, line_no) at once, and a csv.Error
+    at the row where it happens.
     """
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise error(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                    data.count(b"\n", 0, exc.start) + 1) from None
     reader = csv.reader(io.StringIO(text))
     header = True
     try:
@@ -426,8 +446,7 @@ def _parse_float(text, col, line_no):
 
 def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
     """Read a topology CSV. Bus masks are the union of incident branch phases."""
-    with text_file(path_or_buf) as fh:
-        rows = csv_rows(fh.read(), TopologyFormatError)
+    rows = csv_rows(read_bytes(path_or_buf), TopologyFormatError)
     _, header = next(rows, (1, None))
     if header is None:
         raise TopologyFormatError("empty topology file", 1)
@@ -480,6 +499,8 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
         for end in (parent, child):
             phase_union.setdefault(end, set()).update(mask.present)
 
+    if not phase_union[0]:
+        raise TopologyFormatError("no branch leaves the substation (bus 0)")
     n = max(phase_union) + 1
     if sorted(phase_union) != list(range(n)):
         missing = sorted(set(range(n)) - set(phase_union))

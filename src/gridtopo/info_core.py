@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.stats
 
 from .grid_model import write_csv
 
@@ -414,9 +413,17 @@ class PanelStatistics:
         alpha = significance / len(out)
         for b, v in out.items():
             dof = d0 * len(self.slices[b])
-            if v > scipy.stats.chi2.ppf(1.0 - alpha, dof) / (2.0 * self.n_samples):
+            if v > _chi2_upper_quantile(alpha, dof) / (2.0 * self.n_samples):
                 return out
         return None
+
+
+def _chi2_upper_quantile(alpha, dof):
+    """The chi-square quantile at 1 - alpha, as scipy.stats.chi2.ppf
+    evaluates it. scipy is imported here, not at module level, so that
+    importing gridtopo loads numpy alone."""
+    import scipy.special
+    return 2.0 * scipy.special.gammaincinv(dof / 2, 1.0 - alpha)
 
 
 @dataclass

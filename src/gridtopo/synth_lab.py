@@ -13,12 +13,12 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.special
 
-from .grid_model import PHASES, assemble_admittance, csv_rows, text_file, write_csv
+from .grid_model import PHASES, assemble_admittance, csv_rows, read_bytes, text_file, write_csv
 
 # Nominal per-phase voltage angles, positive sequence.
 NOMINAL_ANGLES = (0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
@@ -444,7 +444,10 @@ def apply_noise(panel, noise, seed=0):
     if noise.distribution == "uniform":
         eps = rng.uniform(-noise.bound, noise.bound, size=n)
     else:
-        # inverse CDF of the normal truncated at +-3 sigma
+        # inverse CDF of the normal truncated at +-3 sigma; scipy is
+        # imported here, not at module level, so that importing gridtopo
+        # loads numpy alone
+        import scipy.special
         tail = scipy.special.ndtr(-3.0)
         eps = (noise.bound / 3.0) * scipy.special.ndtri(rng.uniform(tail, 1.0 - tail, size=n))
         np.clip(eps, -noise.bound, noise.bound, out=eps)
@@ -512,6 +515,8 @@ _ROW_DTYPES = (np.dtype(_ROW_FIELDS + [("angle", np.float64)]),
 _PHASE_SLOT = np.full(128, -1, dtype=np.int64)
 _PHASE_SLOT[[ord(p) for p in PHASES]] = range(len(PHASES))
 _PHASE_SLOT[[ord(p.upper()) for p in PHASES]] = range(len(PHASES))
+# Any byte that bytes.isspace() rejects.
+_NON_SPACE = re.compile(rb"\S")
 
 
 class MeasurementFormatError(SynthError):
@@ -557,18 +562,19 @@ def panel_from_csv(path_or_buf, kind="voltage"):
     rejected. Labels are the identity: files carry claimed phases,
     ground truth travels in the separate label sidecar.
     """
-    with text_file(path_or_buf) as fh:
-        text = fh.read()
-    cols = _measurement_columns(text)
+    data = read_bytes(path_or_buf)
+    cols = _measurement_columns(data)
     if cols is None:
-        cols = _checked_measurement_rows(text)
+        cols = _checked_measurement_rows(data)
     t, b, slot, mag, ang = cols
     T = int(t.max()) + 1 if t.size else 0
     B = int(b.max()) + 1 if b.size else 0
+    if B == 1:
+        raise MeasurementFormatError("no rows for any bus other than the substation (bus 0)")
     channel = b * 3 + slot
     counts = np.bincount(t * (B * 3) + channel, minlength=T * B * 3).reshape(T, B, 3)
     if counts.max(initial=0) > 1:
-        _checked_measurement_rows(text)  # names the line of the first duplicate
+        _checked_measurement_rows(data)  # names the line of the first duplicate
         raise MeasurementFormatError("duplicate sample")
     masks = counts.any(axis=0)
     absent = np.flatnonzero(~masks[1:].any(axis=1)) + 1
@@ -580,6 +586,7 @@ def panel_from_csv(path_or_buf, kind="voltage"):
     if gaps.size:
         gb, gs, gt = gaps[0]
         raise MeasurementFormatError(f"missing sample t={gt} bus={gb} phase={PHASES[gs]}")
+    del data  # no error is left to name a line for; free the file before the panel
     values = np.zeros((T, int(masks.sum())), dtype=complex)
     flat = t * values.shape[1] + np.cumsum(masks.ravel())[channel] - 1
     cells = values.reshape(-1)
@@ -598,24 +605,28 @@ def panel_from_csv(path_or_buf, kind="voltage"):
     )
 
 
-def _measurement_columns(text):
+def _measurement_columns(data):
     """Whole-column parse of a plain measurement file, or None.
 
     Returns (t, bus_id, slot, magnitude, angle_deg) arrays, angle None
     for a magnitude-only file, when numpy's C parser reads every data
-    row and the columns pass the row checks. Anything else (blank or
-    whitespace-only rows, padded phases, mixed angles, any bad field)
-    returns None and is left to _checked_measurement_rows, which applies
-    the csv.reader rules row by row.
+    row of the UTF-8 bytes and the columns pass the row checks. Anything
+    else (blank or whitespace-only rows, padded phases, mixed angles, a
+    byte that is not UTF-8, any bad field) returns None and is left to
+    _checked_measurement_rows, which applies the csv.reader rules row by
+    row. The parser reads the one copy of the file in place, from the
+    line after the header.
     """
-    head, _, body = text.partition("\n")
-    if ('"' in head or [h.strip() for h in head.split(",")] != MEASUREMENT_COLUMNS
-            or not body or body.isspace() or "\x00" in body):
+    end = data.find(b"\n")
+    if end < 0 or _NON_SPACE.search(data, end + 1) is None or data.find(b"\x00", end + 1) >= 0:
+        return None
+    head = data[:end].decode(errors="replace")
+    if '"' in head or [h.strip() for h in head.split(",")] != MEASUREMENT_COLUMNS:
         return None
     for dtype in _ROW_DTYPES:
         try:
-            rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
+            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, skiprows=1, ndmin=1, encoding="utf-8")
             break
         except ValueError:
             continue
@@ -639,13 +650,13 @@ def _measurement_columns(text):
     return t, b, slot, rows["magnitude"], None
 
 
-def _checked_measurement_rows(text):
+def _checked_measurement_rows(data):
     """Row-by-row reading of a measurement file with csv.reader rules.
 
     Raises MeasurementFormatError naming the first bad line; otherwise
     returns the same columns as _measurement_columns.
     """
-    rows = csv_rows(text, MeasurementFormatError)
+    rows = csv_rows(data, MeasurementFormatError)
     ts, bs, slots, mags, angs = [], [], [], [], []
     seen = set()
     first_present = None
@@ -720,8 +731,7 @@ def labels_from_csv(path_or_buf):
     A bus id may appear once, and a phase order names each of a, b, c
     at most once.
     """
-    with text_file(path_or_buf) as fh:
-        rows = csv_rows(fh.read(), MeasurementFormatError)
+    rows = csv_rows(read_bytes(path_or_buf), MeasurementFormatError)
     _, header = next(rows, (1, None))
     if header is None or [h.strip() for h in header] != ["bus_id", "true_phase_order"]:
         raise MeasurementFormatError("label file header must be bus_id,true_phase_order", 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_model import CHORD_FLAGS, TOPOLOGY_COLUMNS, csv_rows, text_file, write_csv
+from .grid_model import CHORD_FLAGS, TOPOLOGY_COLUMNS, csv_rows, read_bytes, write_csv
 from .info_core import PanelStatistics, difference
 
 
@@ -227,8 +227,7 @@ def estimate_from_csv(path):
     def error(message, line_no):
         return TopologyEstimateError(f"{path}: line {line_no}: {message}")
 
-    with text_file(path) as fh:
-        rows = list(csv_rows(fh.read(), error))
+    rows = list(csv_rows(read_bytes(path), error))
     if len(rows) < 2:
         raise TopologyEstimateError(f"{path}: no edges")
     header = rows[0][1]

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridtopo
 from gridtopo.cli import build_parser, main
 from gridtopo.eval_harness import ScenarioConfig, build_context, draw_panel
 from gridtopo.feeders import make_feeder
@@ -177,6 +182,59 @@ def test_estimate_runs_without_substation_rows(tmp_path, capsys, frame):
     rc = main(["estimate", "--measurements", meas, "--frame", frame, "--out", out])
     assert rc == 1
     assert "unrooted" in capsys.readouterr().err
+
+
+def test_estimate_refuses_a_file_of_substation_rows_only(tmp_path, capsys):
+    meas = _simulate(tmp_path, "--slack-sigma", "0.01", samples=50) + ".measurements.csv"
+    with open(meas, newline="") as fh:
+        lines = fh.readlines()
+    with open(meas, "w", newline="") as fh:
+        fh.writelines(lines[:1] + [ln for ln in lines[1:] if ln.split(",")[1] == "0"])
+    out = tmp_path / "est.csv"
+    rc = main(["estimate", "--measurements", meas, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: no rows for any bus other than the substation (bus 0)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, target", [
+    ("estimate", "measurements"),
+    ("identify-phases", "measurements"),
+    ("identify-phases", "estimate"),
+])
+def test_an_undecodable_byte_names_its_line(tmp_path, capsys, command, target):
+    prefix = _simulate(tmp_path, samples=50)
+    meas, est = prefix + ".measurements.csv", str(tmp_path / "est.csv")
+    assert main(["estimate", "--measurements", meas, "--root", "1", "--out", est]) == 0
+    capsys.readouterr()
+    path, line = (meas, 7) if target == "measurements" else (est, 3)
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    fields = lines[line - 1].split(b",")
+    fields[2] = b"\xff"  # the phase field of either file
+    lines[line - 1] = b",".join(fields)
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    argv = {"estimate": ["estimate", "--measurements", meas, "--root", "1",
+                         "--out", str(tmp_path / "again.csv")],
+            "identify-phases": ["identify-phases", "--measurements", meas,
+                                "--topology", est, "--out", str(tmp_path / "p.csv")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line {line}: byte 0xff is not UTF-8" in err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.stats alone takes about a second to import; the CLI's commands
+    # load scipy.special only on a Gaussian-noise draw or a substation test
+    src = str(Path(gridtopo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, gridtopo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_estimate_malformed_csv_exits_two(tmp_path, capsys):
@@ -406,17 +464,27 @@ def test_simulate_oversized_topology_field_names_line(tmp_path, capsys):
     assert err.startswith("error: ") and "line 2:" in err
 
 
-@pytest.mark.parametrize("feeder, message", [
-    ("bus8", "need 7 tree branches for 8 buses, got 6"),
-    ("bus15_mesh", "bus 7 has two tree parents"),
+def _drop_branch_1_2(lines):
+    del lines[2]  # bus 2 keeps its own children
+
+
+def _drop_substation_branch(lines):
+    del lines[1]
+
+
+def _chord_as_tree_branch(lines):
+    lines[-1] = lines[-1][:-1] + "0"
+
+
+@pytest.mark.parametrize("feeder, edit, message", [
+    ("bus8", _drop_branch_1_2, "need 7 tree branches for 8 buses, got 6"),
+    ("bus8", _drop_substation_branch, "no branch leaves the substation (bus 0)"),
+    ("bus15_mesh", _chord_as_tree_branch, "bus 7 has two tree parents"),
 ])
-def test_simulate_bad_topology_graph_exits_two(tmp_path, capsys, feeder, message):
+def test_simulate_bad_topology_graph_exits_two(tmp_path, capsys, feeder, edit, message):
     _simulate(tmp_path, feeder=feeder, samples=50)
     lines = (tmp_path / "sim.topology.csv").read_text().splitlines()
-    if feeder == "bus8":
-        del lines[2]  # branch 1-2; bus 2 keeps its own children
-    else:
-        lines[-1] = lines[-1][:-1] + "0"  # the chord, flagged as a tree branch
+    edit(lines)
     topo = tmp_path / "bad.topology.csv"
     topo.write_text("\n".join(lines) + "\n")
     rc = main(["simulate", "--topology", str(topo), "--samples", "50",

@@ -390,6 +390,25 @@ def test_csv_errors_name_the_physical_line_after_a_multiline_field(
         read(path)
 
 
+@pytest.mark.parametrize("read, error, text", [
+    pytest.param(topology_from_csv, TopologyFormatError,
+                 ",".join(TOPOLOGY_COLUMNS) + "\n0,1,abc,0.5,1.0,8,8,8,5,5,5\n"
+                 "1,2,\xff,0.5,1.0,8,8,8,5,5,5\n", id="topology"),
+    pytest.param(labels_from_csv, MeasurementFormatError,
+                 "bus_id,true_phase_order\n0,abc\n1,\xff\n", id="labels"),
+    pytest.param(panel_from_csv, MeasurementFormatError,
+                 "t,bus_id,phase,magnitude_pu,angle_deg\n0,1,a,1.0,0.0\n0,1,\xff,1.0,0.0\n",
+                 id="measurements"),
+    pytest.param(estimate_from_csv, TopologyEstimateError,
+                 "parent_id,child_id,mi_nats\n1,2,0.5\n\xff,3,0.1\n", id="estimate"),
+])
+def test_csv_readers_name_the_line_of_an_undecodable_byte(tmp_path, read, error, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(error, match="line 3: byte 0xff is not UTF-8"):
+        read(path)
+
+
 def test_catalogue_names():
     for name in FEEDER_NAMES:
         topo = make_feeder(name)

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from conftest import channel_coords, dense_mi, dense_reference, padded, unpadded
-from gridtopo.feeders import random_feeder
+from gridtopo.feeders import FEEDER_NAMES, make_feeder, random_feeder
 from gridtopo.info_core import (
     SEQ_H_INV,
     InfoCoreError,
@@ -19,6 +20,7 @@ from gridtopo.info_core import (
     difference,
     from_sequence,
     mi_breakdown,
+    _chi2_upper_quantile,
     _feature_cov,
     substation_mi,
     to_sequence,
@@ -554,6 +556,15 @@ def test_mi_breakdown_rejects_a_duplicated_channel(bus8, bus8_spec):
 
 
 # -- substation usability gate -------------------------------------------
+
+
+def test_substation_threshold_is_the_scipy_stats_chi2_quantile():
+    # the package computes it through scipy.special so that importing
+    # gridtopo does not import scipy.stats; the value must not move a bit
+    for name in FEEDER_NAMES:
+        alpha = 1e-3 / (make_feeder(name).n_buses - 1)
+        for dof in range(1, 37):
+            assert _chi2_upper_quantile(alpha, dof) == scipy.stats.chi2.ppf(1.0 - alpha, dof)
 
 
 def test_substation_silent_when_slack_constant(bus8, bus8_spec):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.special
 import scipy.stats
 
 from conftest import channel_coords, padded, unpadded
+from gridtopo.eval_harness import ScenarioConfig, build_context, draw_panel
 from gridtopo.feeders import FEEDER_NAMES, make_feeder, random_feeder
 from gridtopo.grid_model import PHASES, assemble_admittance
 from gridtopo.synth_lab import (
@@ -766,9 +768,24 @@ def test_plain_files_take_the_columnar_parse():
     for mag_only in (False, True):
         buf = io.StringIO()
         panel_to_csv(to_magnitude(_tiny_panel()) if mag_only else _tiny_panel(), buf)
-        cols = _measurement_columns(buf.getvalue())
+        cols = _measurement_columns(buf.getvalue().encode())
         assert cols is not None
         assert (cols[4] is None) == mag_only
+
+
+def test_reading_a_measurement_file_holds_at_most_four_times_its_size(tmp_path):
+    # the reader keeps one encoded copy of the file for the parser and
+    # drops it before the panel is built
+    ctx = build_context(ScenarioConfig(feeder="bus123", n_samples=721, label_fraction=0.01))
+    path = tmp_path / "bus123.measurements.csv"
+    panel_to_csv(draw_panel(ctx, 3), path)
+    tracemalloc.start()
+    try:
+        panel_from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * path.stat().st_size
 
 
 def test_panel_csv_empty_data_gives_empty_panel():

@@ -464,7 +464,7 @@ def test_recover_exact_statistics_finds_the_planted_chord(exact_feeders, frame):
 @pytest.mark.parametrize("name", [
     "bus8", "bus13", "bus33",
     pytest.param("bus123", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 4: spurious chord at infinite data")),
+        strict=True, reason="ROADMAP item 3: spurious chord at infinite data")),
 ])
 def test_recover_exact_statistics_adds_no_chord_to_a_radial_feeder(exact_feeders, name, frame):
     topo, est = _recover_exact(exact_feeders, name, frame, mesh=True)
