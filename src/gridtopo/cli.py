@@ -21,12 +21,13 @@ from .feeders import FEEDER_NAMES
 from .grid_model import PHASES, TopologyFormatError, topology_from_csv, topology_to_csv
 from .info_core import InfoCoreError
 from .phase_id import PhaseIdError, assign_phases, diagnose_labels
-from .synth_lab import (MeasurementFormatError, SynthError, labels_to_csv,
-                        panel_from_csv, panel_to_csv, to_magnitude)
+from .synth_lab import SynthError, labels_to_csv, panel_from_csv, panel_to_csv, to_magnitude
 from .topo_est import TopologyEstimateError, estimate_from_csv, estimate_topology
 
-_INPUT_ERRORS = (TopologyFormatError, MeasurementFormatError,
-                 TopologyEstimateError, FileNotFoundError, IsADirectoryError)
+# errors that mean bad input, each reported as exit 2 (MeasurementFormatError
+# is a SynthError)
+_INPUT_ERRORS = (TopologyFormatError, TopologyEstimateError, SynthError, InfoCoreError,
+                 PhaseIdError, EvalError, FileNotFoundError, IsADirectoryError, ValueError)
 
 
 def _add_generation_flags(p):
@@ -51,8 +52,8 @@ def _add_generation_flags(p):
                    help="fraction of buses with permuted phase labels")
 
 
-def _add_method_flags(p, frame_default="sequence", source_default="auto"):
-    p.add_argument("--frame", default=frame_default, choices=("phase", "sequence"),
+def _add_method_flags(p, source_default="auto"):
+    p.add_argument("--frame", default="sequence", choices=("phase", "sequence"),
                    help="label only: MI is invariant under the per-bus "
                         "symmetrical-component map, so both frames give the same output")
     choices = ("complex", "magnitude") if source_default != "auto" else (
@@ -264,9 +265,6 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SynthError, InfoCoreError, PhaseIdError, EvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

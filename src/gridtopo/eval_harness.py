@@ -120,6 +120,7 @@ class ScenarioConfig:
             ("noise_distribution", self.noise_distribution in ("uniform", "gaussian"),
              "'uniform' or 'gaussian'"),
             ("label_fraction", 0.0 <= self.label_fraction <= 1.0, "in [0, 1]"),
+            ("gain_tol", math.isfinite(self.gain_tol), "finite"),
             ("der_scale", self.der_scale > 0.0, "positive"),
             ("der_fraction", 0.0 < self.der_fraction <= 1.0, "in (0, 1]"),
             ("resolution_stride", self.resolution_stride >= 1, "at least 1"),

@@ -11,7 +11,6 @@ import numpy as np
 
 from .grid_model import (
     Branch,
-    Bus,
     GridModelError,
     GridTopology,
     LineModel,
@@ -19,10 +18,6 @@ from .grid_model import (
 )
 
 FEEDER_NAMES = ("bus8", "bus13", "bus15_mesh", "bus33", "bus123")
-
-
-def _mask(text):
-    return PhaseMask.from_string(text)
 
 
 def _line(rng, r_lo=1.3, r_hi=2.3):
@@ -39,25 +34,22 @@ def _branch(rng, parent, child, phases, length=None, is_chord=False):
     return Branch(
         parent=parent,
         child=child,
-        mask=_mask(phases),
+        mask=PhaseMask.from_string(phases),
         line=_line(rng),
         length_miles=float(length),
         is_chord=is_chord,
     )
 
 
-def _build(edges, masks, z_base_ohm, name, seed):
+def _build(edges, z_base_ohm, name, seed):
     """edges: list of (parent, child, phases[, chord]) tuples."""
     rng = np.random.default_rng(seed)
-    buses = [
-        Bus(id=i, mask=_mask(masks[i]), is_slack=(i == 0)) for i in sorted(masks)
-    ]
     branches = []
     for e in edges:
         parent, child, phases = e[0], e[1], e[2]
         chord = len(e) > 3 and bool(e[3])
         branches.append(_branch(rng, parent, child, phases, is_chord=chord))
-    return GridTopology(buses=buses, branches=branches, z_base_ohm=z_base_ohm, name=name)
+    return GridTopology(branches, z_base_ohm=z_base_ohm, name=name)
 
 
 def eight_bus_feeder(z_base_ohm=10.0):
@@ -75,8 +67,7 @@ def eight_bus_feeder(z_base_ohm=10.0):
         (3, 6, "abc"),
         (3, 7, "b"),
     ]
-    masks = {0: "abc", 1: "abc", 2: "abc", 3: "abc", 4: "a", 5: "bc", 6: "abc", 7: "b"}
-    return _build(edges, masks, z_base_ohm, "bus8", seed=8)
+    return _build(edges, z_base_ohm, "bus8", seed=8)
 
 
 def thirteen_bus_feeder(z_base_ohm=10.0):
@@ -94,11 +85,7 @@ def thirteen_bus_feeder(z_base_ohm=10.0):
         (10, 11, "ab"),
         (4, 12, "c"),
     ]
-    masks = {
-        0: "abc", 1: "abc", 2: "abc", 3: "abc", 4: "abc", 5: "ac", 6: "a",
-        7: "abc", 8: "bc", 9: "b", 10: "abc", 11: "ab", 12: "c",
-    }
-    return _build(edges, masks, z_base_ohm, "bus13", seed=13)
+    return _build(edges, z_base_ohm, "bus13", seed=13)
 
 
 def fifteen_bus_mesh_feeder(z_base_ohm=10.0):
@@ -124,11 +111,7 @@ def fifteen_bus_mesh_feeder(z_base_ohm=10.0):
         (9, 14, "a"),
         (5, 7, "abc", 1),
     ]
-    masks = {
-        0: "abc", 1: "abc", 2: "abc", 3: "abc", 4: "abc", 5: "abc", 6: "abc",
-        7: "abc", 8: "abc", 9: "ab", 10: "c", 11: "abc", 12: "b", 13: "ac", 14: "a",
-    }
-    return _build(edges, masks, z_base_ohm, "bus15_mesh", seed=15)
+    return _build(edges, z_base_ohm, "bus15_mesh", seed=15)
 
 
 def random_feeder(n_buses, seed, z_base_ohm=10.0, full_mask_prob=0.55,
@@ -143,7 +126,7 @@ def random_feeder(n_buses, seed, z_base_ohm=10.0, full_mask_prob=0.55,
     if n_buses < 3:
         raise GridModelError("random_feeder needs at least 3 buses")
     rng = np.random.default_rng(seed)
-    masks = {0: "abc", 1: "abc"}
+    masks = {1: "abc"}
     edges = [(0, 1, "abc")]
     attachable = [1]
     for child in range(2, n_buses):
@@ -158,8 +141,7 @@ def random_feeder(n_buses, seed, z_base_ohm=10.0, full_mask_prob=0.55,
         masks[child] = cmask
         edges.append((parent, child, cmask))
         attachable.append(child)
-    topo = _build(edges, masks, z_base_ohm, name or f"random{n_buses}", seed=seed)
-    return topo
+    return _build(edges, z_base_ohm, name or f"random{n_buses}", seed=seed)
 
 
 def make_feeder(name, z_base_ohm=10.0):

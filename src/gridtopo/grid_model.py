@@ -1,15 +1,18 @@
 """Multi-phase distribution feeder model.
 
-Represents a feeder as buses carrying one to three phases, connected by
-branches whose series impedance follows the modified Carson equations.
-Provides the per-phase admittance blocks and the assembled nodal
-admittance matrix over all non-slack (bus, phase) channels, in a
-panel's column order, which is what the linearized voltage-increment
-model and the synthetic data generator consume.
+Represents a feeder by its branches, each carrying one to three phases
+through a series impedance that follows the modified Carson equations.
+A bus carries the phases of the branch that feeds it, and the
+substation the union of its branches' phases. Provides the per-phase
+admittance blocks and the assembled nodal admittance matrix over all
+non-slack (bus, phase) channels, in a panel's column order, which is
+what the linearized voltage-increment model and the synthetic data
+generator consume.
 
 Conventions
 -----------
-* Bus ids are consecutive integers, the substation (slack) is bus 0.
+* Bus ids are 0 and every branch end, consecutive; the substation
+  (slack) is bus 0.
 * Phases are labelled 'a', 'b', 'c' and map to slots 0, 1, 2.
 * Impedances are built in ohms on a per-mile basis and converted to
   per-unit with the topology's impedance base at assembly time.
@@ -202,30 +205,26 @@ class Branch:
 
 @dataclass
 class GridTopology:
-    """Feeder graph: buses plus tree branches and optional chords.
+    """Feeder graph: tree branches plus optional chords.
 
-    Immutable after construction by convention; mutating buses or
-    branches afterwards invalidates the cached assembly.
+    The buses are 0 and every branch end, and must be consecutive.
+    Bus 0 is the substation and carries the union of its branches'
+    phases; every other bus carries the mask of its tree branch.
+    Immutable after construction by convention; mutating branches
+    afterwards invalidates the derived buses and the cached assembly.
     """
 
-    buses: list
     branches: list
     z_base_ohm: float = 10.0
     name: str = ""
-    _children: dict = field(default_factory=dict, repr=False)
-    _parent: dict = field(default_factory=dict, repr=False)
+    _buses: tuple = field(default=(), init=False, repr=False)
+    _children: dict = field(default_factory=dict, init=False, repr=False)
+    _parent: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        ids = [b.id for b in self.buses]
-        if sorted(ids) != list(range(len(ids))):
-            raise GridModelError("bus ids must be consecutive integers starting at 0")
-        self.buses = sorted(self.buses, key=lambda b: b.id)
-        slack = [b for b in self.buses if b.is_slack]
-        if len(slack) != 1 or slack[0].id != 0:
-            raise GridModelError("exactly one slack bus required, with id 0")
         if not self.z_base_ohm > 0.0:
             raise GridModelError("z_base_ohm must be positive")
-        self._validate_graph()
+        self._derive_buses()
         # one stacked inversion per phase mask
         by_mask = {}
         for br in self.branches:
@@ -236,71 +235,67 @@ class GridTopology:
             for br, y in zip(group, branch_admittance(z_pu, mask)):
                 br.y_block = y
 
-    def _validate_graph(self):
-        n = len(self.buses)
-        mask_of = {b.id: b.mask for b in self.buses}
+    def _derive_buses(self):
+        tree = {}
         seen = set()
-        self._children = {b.id: [] for b in self.buses}
-        self._parent = {}
-        tree_edges = 0
+        slack = set()
         for br in self.branches:
-            for end in (br.parent, br.child):
-                if end not in mask_of:
-                    raise GridModelError(f"branch references unknown bus {end}")
             if br.parent == br.child:
                 raise GridModelError(f"self-loop at bus {br.parent}")
-            if not br.mask.issubset(mask_of[br.parent]) or not br.mask.issubset(mask_of[br.child]):
+            if br.key() in seen:
+                raise GridModelError(f"duplicate branch {br.key()}")
+            seen.add(br.key())
+            if 0 in (br.parent, br.child):
+                slack.update(br.mask.present)
+            if not br.is_chord:
+                if br.child in tree:
+                    raise GridModelError(f"bus {br.child} has two tree parents")
+                tree[br.child] = br
+        if not slack:
+            raise GridModelError("no branch leaves the substation (bus 0)")
+        ids = {0}.union(*seen)
+        n = max(ids) + 1
+        if sorted(ids) != list(range(n)):
+            missing = sorted(set(range(n)) - ids)
+            raise GridModelError(f"bus ids must be consecutive, missing {missing}")
+        if len(tree) != n - 1:
+            raise GridModelError(f"need {n - 1} tree branches for {n} buses, got {len(tree)}")
+        self._parent = {b: br.parent for b, br in tree.items()}
+        self._children = {b: [] for b in range(n)}
+        for b, br in tree.items():
+            self._children[br.parent].append(b)
+        # Reachability from the slack over tree branches; a bus has one
+        # tree parent, so only bus 0 could be met twice.
+        reached = [0]
+        for u in reached:
+            reached.extend(v for v in self._children[u] if v)
+        if len(reached) != n:
+            raise GridModelError(f"buses {sorted(ids - set(reached))} unreachable from the slack")
+        masks = [PhaseMask(frozenset(slack))] + [tree[b].mask for b in range(1, n)]
+        for br in self.branches:
+            if not br.mask.issubset(masks[br.parent]) or not br.mask.issubset(masks[br.child]):
                 raise GridModelError(
                     f"branch {br.parent}-{br.child} carries phases "
                     f"{br.mask.to_string()} not present at both ends"
                 )
-            if br.key() in seen:
-                raise GridModelError(f"duplicate branch {br.key()}")
-            seen.add(br.key())
-            if not br.is_chord:
-                tree_edges += 1
-                self._children[br.parent].append(br.child)
-                if br.child in self._parent:
-                    raise GridModelError(f"bus {br.child} has two tree parents")
-                self._parent[br.child] = br.parent
-        if tree_edges != n - 1:
-            raise GridModelError(f"need {n - 1} tree branches for {n} buses, got {tree_edges}")
-        # Reachability from the slack over tree branches.
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for v in self._children[u]:
-                if v not in reached:
-                    reached.add(v)
-                    frontier.append(v)
-        if len(reached) != n:
-            missing = sorted(set(b.id for b in self.buses) - reached)
-            raise GridModelError(f"buses {missing} unreachable from the slack")
-        # Every non-slack bus must see all its phases through its parent branch,
-        # otherwise some (bus, phase) coordinate floats with no connection.
-        by_child = {br.child: br for br in self.branches if not br.is_chord}
-        for b in self.buses:
-            if b.is_slack:
-                continue
-            if not b.mask.issubset(by_child[b.id].mask):
-                raise GridModelError(
-                    f"bus {b.id} carries phases {b.mask.to_string()} but its parent "
-                    f"branch only carries {by_child[b.id].mask.to_string()}"
-                )
+        self._buses = tuple(Bus(id=b, mask=m, is_slack=(b == 0)) for b, m in enumerate(masks))
 
     # -- graph accessors ------------------------------------------------
 
     @property
+    def buses(self):
+        return self._buses
+
+    @property
     def n_buses(self):
-        return len(self.buses)
+        return len(self._buses)
 
     @property
     def non_slack_ids(self):
-        return [b.id for b in self.buses if not b.is_slack]
+        return list(range(1, len(self._buses)))
 
     def bus(self, bus_id):
-        return self.buses[bus_id]
+        return self._buses[bus_id]
 
     def parent_of(self, bus_id):
         return self._parent.get(bus_id)
@@ -445,7 +440,7 @@ def _parse_float(text, col, line_no):
 
 
 def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
-    """Read a topology CSV. Bus masks are the union of incident branch phases."""
+    """Read a topology CSV; the buses follow from the branch rows."""
     rows = csv_rows(read_bytes(path_or_buf), TopologyFormatError)
     _, header = next(rows, (1, None))
     if header is None:
@@ -458,7 +453,7 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
     has_chord = "chord" in pos
 
     branches = []
-    phase_union = {0: set()}
+    seen = set()
     for line_no, row in rows:
         if len(row) < len(header):
             raise TopologyFormatError(
@@ -495,21 +490,12 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
                         length_miles=length, is_chord=CHORD_FLAGS[flag])
         except GridModelError as exc:
             raise TopologyFormatError(str(exc), line_no)
+        if br.key() in seen:
+            raise TopologyFormatError(f"duplicate branch {br.key()}", line_no)
+        seen.add(br.key())
         branches.append(br)
-        for end in (parent, child):
-            phase_union.setdefault(end, set()).update(mask.present)
 
-    if not phase_union[0]:
-        raise TopologyFormatError("no branch leaves the substation (bus 0)")
-    n = max(phase_union) + 1
-    if sorted(phase_union) != list(range(n)):
-        missing = sorted(set(range(n)) - set(phase_union))
-        raise TopologyFormatError(f"bus ids must be consecutive, missing {missing}")
-    buses = [
-        Bus(id=i, mask=PhaseMask(frozenset(phase_union[i])), is_slack=(i == 0))
-        for i in range(n)
-    ]
     try:
-        return GridTopology(buses=buses, branches=branches, z_base_ohm=z_base_ohm, name=name)
+        return GridTopology(branches, z_base_ohm=z_base_ohm, name=name)
     except GridModelError as exc:
         raise TopologyFormatError(str(exc)) from None

@@ -230,7 +230,7 @@ def estimate_from_csv(path):
     rows = list(csv_rows(read_bytes(path), error))
     if len(rows) < 2:
         raise TopologyEstimateError(f"{path}: no edges")
-    header = rows[0][1]
+    header = [h.strip() for h in rows[0][1]]
     for need in ("parent_id", "child_id"):
         if need not in header:
             raise TopologyEstimateError(f"{path}: missing column {need}")
@@ -402,6 +402,8 @@ def weak_mesh_search(mi, joint_mi_provider, max_chords=1, gain_tol=0.01):
     """
     if max_chords not in (0, 1):
         raise TopologyEstimateError("only a single chord is supported; use max_chords 0 or 1")
+    if not np.isfinite(gain_tol):
+        raise TopologyEstimateError(f"gain_tol must be a finite number, got {gain_tol!r}")
     tree = max_weight_spanning_tree(mi)
     if max_chords == 0 or len(mi.bus_ids) < 4:
         return tree

@@ -261,6 +261,16 @@ def test_estimate_negative_ridge_exits_two(tmp_path, capsys):
     assert "ridge" in capsys.readouterr().err
 
 
+def test_estimate_mesh_nan_gain_tol_exits_two_writing_no_chord(tmp_path, capsys):
+    prefix = _simulate(tmp_path, samples=100)
+    out = tmp_path / "x.csv"
+    rc = main(["estimate", "--measurements", prefix + ".measurements.csv", "--mesh",
+               "--gain-tol", "nan", "--root", "1", "--out", str(out)])
+    assert rc == 2
+    assert "error: gain_tol must be a finite number, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_magnitude_only_estimate_auto_source(tmp_path):
     prefix = _simulate(tmp_path, "--magnitude-only", samples=1500)
     out = str(tmp_path / "est.csv")
@@ -334,6 +344,24 @@ def test_identify_phases_rejects_a_tree_over_other_buses(tmp_path, capsys, rows,
     assert not out.exists()
 
 
+def test_identify_phases_reads_a_topology_file_with_a_padded_header(tmp_path, capsys):
+    prefix = _simulate(tmp_path, samples=600)
+    topo = tmp_path / "sim.topology.csv"
+    padded = tmp_path / "padded.topology.csv"
+    header, rest = topo.read_text().split("\n", 1)
+    padded.write_text(header.replace(",", ", ") + "\n" + rest)
+    outs = []
+    for path in (topo, padded):
+        out = tmp_path / f"phases.{path.name}"
+        rc = main(["identify-phases", "--measurements", prefix + ".measurements.csv",
+                   "--topology", str(path), "--out", str(out)])
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert main(["simulate", "--topology", str(padded), "--samples", "50",
+                 "--out", str(tmp_path / "again")]) == 0
+
+
 def test_identify_phases_missing_topology_exits_two(tmp_path):
     prefix = _simulate(tmp_path, samples=200)
     rc = main(["identify-phases", "--measurements", prefix + ".measurements.csv",
@@ -374,6 +402,8 @@ def test_evaluate_bad_run_size_exits_two(tmp_path, capsys, flags):
     ("evaluate", "--resolution-stride", "0", "resolution_stride"),
     ("evaluate", "--der-fraction", "5", "der_fraction"),
     ("sweep", "--label-corruption", "-0.5", "label_fraction"),
+    ("evaluate", "--gain-tol", "nan", "gain_tol"),
+    ("sweep", "--gain-tol", "nan", "gain_tol"),
 ])
 def test_bad_generation_input_exits_two_naming_the_field(tmp_path, capsys, command,
                                                          flag, value, field):
@@ -476,10 +506,15 @@ def _chord_as_tree_branch(lines):
     lines[-1] = lines[-1][:-1] + "0"
 
 
+def _repeat_branch_1_2(lines):
+    lines.append(lines[2])
+
+
 @pytest.mark.parametrize("feeder, edit, message", [
     ("bus8", _drop_branch_1_2, "need 7 tree branches for 8 buses, got 6"),
     ("bus8", _drop_substation_branch, "no branch leaves the substation (bus 0)"),
     ("bus15_mesh", _chord_as_tree_branch, "bus 7 has two tree parents"),
+    ("bus8", _repeat_branch_1_2, "error: line 9: duplicate branch (1, 2)\n"),
 ])
 def test_simulate_bad_topology_graph_exits_two(tmp_path, capsys, feeder, edit, message):
     _simulate(tmp_path, feeder=feeder, samples=50)

@@ -162,6 +162,8 @@ def test_zero_threads_rejected():
     ("der_fraction", 0.0),
     ("der_fraction", 5.0),
     ("resolution_stride", 0),
+    ("gain_tol", np.nan),
+    ("gain_tol", -np.inf),
 ])
 def test_config_rejects_bad_generation_input(field, value):
     with pytest.raises(EvalError, match=field):

@@ -165,15 +165,31 @@ def test_branch_mask_subset_of_endpoints(bus8):
         assert br.mask.issubset(bus8.bus(br.child).mask)
 
 
-def test_duplicate_bus_rejected():
-    buses = [Bus(id=0, mask=PhaseMask.from_string("abc"), is_slack=True),
-             Bus(id=1, mask=PhaseMask.from_string("abc")),
-             Bus(id=1, mask=PhaseMask.from_string("a"))]
+def _branches(*edges):
     line = LineModel(r_per_mile=1.0)
-    branches = [Branch(parent=0, child=1, mask=PhaseMask.from_string("abc"),
-                       line=line, length_miles=1.0)]
-    with pytest.raises(GridModelError):
-        GridTopology(buses=buses, branches=branches, z_base_ohm=10.0)
+    return [Branch(parent=p, child=c, mask=PhaseMask.from_string(phases), line=line,
+                   length_miles=1.0) for p, c, phases in edges]
+
+
+def test_buses_follow_from_the_branches():
+    mesh = make_feeder("bus15_mesh")
+    assert mesh.buses == tuple(mesh.bus(b) for b in range(15))
+    assert mesh.non_slack_ids == list(range(1, 15))
+    assert mesh.bus(0) == Bus(id=0, mask=PhaseMask.from_string("abc"), is_slack=True)
+    for br in mesh.branches:
+        if not br.is_chord:
+            assert mesh.bus(br.child).mask is br.mask and not mesh.bus(br.child).is_slack
+
+
+@pytest.mark.parametrize("edges, message", [
+    pytest.param([(0, 1, "abc"), (1, 3, "a")], r"bus ids must be consecutive, missing \[2\]",
+                 id="gap-in-bus-ids"),
+    pytest.param([(0, 1, "abc"), (1, 2, "a"), (2, 1, "a")], r"duplicate branch \(1, 2\)",
+                 id="duplicate-branch"),
+])
+def test_branch_list_errors(edges, message):
+    with pytest.raises(GridModelError, match=message):
+        GridTopology(_branches(*edges))
 
 
 # -- admittance assembly -------------------------------------------------
@@ -270,13 +286,11 @@ def test_admittance_nonsingular_random_tree():
 def test_two_bus_chain_tridiagonal_analog():
     line = LineModel(r_per_mile=1.0)
     mask = PhaseMask.from_string("a")
-    buses = [Bus(id=0, mask=mask, is_slack=True), Bus(id=1, mask=mask),
-             Bus(id=2, mask=mask)]
     branches = [
         Branch(parent=0, child=1, mask=mask, line=line, length_miles=1.0),
         Branch(parent=1, child=2, mask=mask, line=line, length_miles=1.0),
     ]
-    topo = GridTopology(buses=buses, branches=branches, z_base_ohm=10.0)
+    topo = GridTopology(branches, z_base_ohm=10.0)
     Y = assemble_admittance(topo)
     assert Y.shape == (2, 2)
     assert Y[0, 1] != 0 and Y[1, 0] != 0

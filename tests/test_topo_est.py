@@ -340,6 +340,14 @@ def test_mesh_search_rejects_multi_chord():
         weak_mesh_search(mi, provider, max_chords=2)
 
 
+@pytest.mark.parametrize("gain_tol", [np.nan, np.inf, -np.inf])
+def test_mesh_search_rejects_a_non_finite_gain_tol(gain_tol):
+    # nan would compare False against every score and always admit a chord
+    topo, acov, mi, provider = _mesh_fixture()
+    with pytest.raises(TopologyEstimateError, match="gain_tol must be a finite number"):
+        weak_mesh_search(mi, provider, gain_tol=gain_tol)
+
+
 def test_mesh_search_tiny_system_stays_tree(rng):
     vals = rng.uniform(0.5, 1.5, size=(3, 3))
     vals = (vals + vals.T) / 2.0
