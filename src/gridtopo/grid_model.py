@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,12 +126,16 @@ class LineModel:
     h_mut: tuple = (DEFAULT_H_MUT,) * 3
 
     def __post_init__(self):
-        if not self.r_per_mile > 0.0:
-            raise InvalidLineError(f"r_per_mile must be positive, got {self.r_per_mile}")
+        if not (math.isfinite(self.r_per_mile) and self.r_per_mile > 0.0):
+            raise InvalidLineError(
+                f"r_per_mile must be positive and finite, got {self.r_per_mile}")
         object.__setattr__(self, "h_self", tuple(float(h) for h in self.h_self))
         object.__setattr__(self, "h_mut", tuple(float(h) for h in self.h_mut))
         if len(self.h_self) != 3 or len(self.h_mut) != 3:
             raise InvalidLineError("h_self and h_mut need one entry per phase / pair")
+        if not all(map(math.isfinite, self.h_self + self.h_mut)):
+            raise InvalidLineError(
+                f"h_self and h_mut must be finite, got {self.h_self} and {self.h_mut}")
 
 
 def carson_impedance(line, length_miles, mask):
@@ -195,6 +200,11 @@ class Branch:
     is_chord: bool = False
     y_block: np.ndarray | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.length_miles) and self.length_miles > 0.0):
+            raise InvalidLineError(
+                f"length_miles must be positive and finite, got {self.length_miles}")
+
     def impedance(self):
         return carson_impedance(self.line, self.length_miles, self.mask)
 
@@ -254,6 +264,8 @@ class GridTopology:
         if not slack:
             raise GridModelError("no branch leaves the substation (bus 0)")
         ids = {0}.union(*seen)
+        if min(ids) < 0:
+            raise GridModelError(f"bus ids must be non-negative, got {min(ids)}")
         n = max(ids) + 1
         if sorted(ids) != list(range(n)):
             missing = sorted(set(range(n)) - ids)
@@ -434,9 +446,12 @@ def topology_to_csv(topology, path_or_buf):
 
 def _parse_float(text, col, line_no):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise TopologyFormatError(f"column {col!r}: cannot parse {text!r} as a number", line_no)
+    if not math.isfinite(value):
+        raise TopologyFormatError(f"column {col!r}: {text!r} is not a finite number", line_no)
+    return value
 
 
 def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
@@ -464,6 +479,9 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
             child = int(row[pos["child_id"]])
         except ValueError:
             raise TopologyFormatError("bus ids must be integers", line_no)
+        if min(parent, child) < 0:
+            raise TopologyFormatError(
+                f"bus ids must be non-negative, got {min(parent, child)}", line_no)
         phases = row[pos["phases"]].strip().lower()
         if not phases or any(p not in "abc" for p in phases) or len(set(phases)) != len(phases):
             raise TopologyFormatError(f"bad phases field {phases!r}", line_no)

@@ -9,15 +9,15 @@ and its batched block log-determinant is the only determinant taken. It
 is built from the sample covariance of a panel or, through
 PanelStatistics.from_analytic, from the exact covariance of the
 increment model (infinite data); both sources share every step after
-the gather. mi_breakdown's magnitude/angle split is a kernel query too,
-on statistics built from the pair's polar covariance.
+the covariance. mi_breakdown's magnitude/angle split is a kernel query
+too, on statistics built from the pair's polar covariance.
 
-Complex observations are treated as real vectors of stacked (Re, Im)
-parts. The magnitude source takes the moduli of the complex increments
-per channel (increments of the stored readings when a panel never had
-angles). All values are in nats. Conditional mutual information
-follows from the chain rule, I(A; B | Z) = I(A; B, Z) - I(A; Z), as
-two group_mi queries.
+Complex observations are treated as real vectors of each channel's
+(Re, Im) pair, channels in panel column order. The magnitude source
+takes the moduli of the complex increments per channel (increments of
+the stored readings when a panel never had angles). All values are in
+nats. Conditional mutual information follows from the chain rule,
+I(A; B | Z) = I(A; B, Z) - I(A; Z), as two group_mi queries.
 
 The frame does not change any value. The symmetrical-component map
 (SEQ_H_INV, restricted to a bus's claimed slots) is an invertible
@@ -29,10 +29,10 @@ labels the results; to_sequence and from_sequence remain for callers
 that want the components themselves.
 
 A panel's statistics come from one contiguous column range of its
-(T, D) channel block, gathered in a single take (complex channels
-through their float64 (Re, Im) view), centred once and multiplied once
-into a D×D covariance, and the standardisation is a diagonal rescale
-of the result. No step after the gather touches the T×D data.
+(T, D) channel block, whose float64 view already lists each complex
+channel's (Re, Im) pair in column order, so no bus is reordered. The
+slice is centred once and multiplied once into the feature covariance,
+and the standardisation is a diagonal rescale of the result.
 """
 
 from __future__ import annotations
@@ -125,36 +125,21 @@ def _gather_cov(panel, bus_ids, source):
     """Sample covariance of the claimed channels of bus_ids.
 
     bus_ids is an ascending run of buses, so their channels are one
-    contiguous range of panel columns. The gather layout lists the
-    buses in that order, as _re_im_order lays out their channels
-    (complex source) or as one magnitude per claimed slot.
+    contiguous range lo:hi of panel columns, and the features are a
+    slice of that range: the float64 (Re, Im) view of each channel in
+    column order (complex source), or one magnitude per channel.
     """
     lo, hi = panel.offsets[bus_ids[0]], panel.offsets[bus_ids[-1] + 1]
-    n = panel.n_samples
     rows = np.ascontiguousarray(panel.values)
     parts = rows.view(np.float64)
     if source == "complex":
-        col, part = _re_im_order(np.diff(panel.offsets[bus_ids[0]:bus_ids[-1] + 2]))
-        X = np.take(parts, 2 * (lo + col) + part, axis=1)
+        X = parts[:, 2 * lo:2 * hi].copy()
     elif panel.magnitude_only:
-        X = np.take(parts, 2 * np.arange(lo, hi), axis=1)
+        X = parts[:, 2 * lo:2 * hi:2].copy()
     else:
-        X = np.abs(np.take(rows, np.arange(lo, hi), axis=1))
+        X = np.abs(rows[:, lo:hi])
     X -= X.mean(axis=0)
-    return X.T @ X / (n - 1)
-
-
-def _re_im_order(widths):
-    """(channel, part) of each complex feature, part 0 for Re and 1 for Im.
-
-    widths[i] is the channel count of the i-th of a run of buses whose
-    channels follow one another. The features list the buses in order,
-    each as the Re parts of its channels, then their Im parts.
-    """
-    col = np.arange(2 * widths.sum()) // 2
-    part = np.arange(col.size) % 2
-    order = np.lexsort((col, part, np.repeat(np.arange(widths.size), widths)[col]))
-    return col[order], part[order]
+    return X.T @ X / (panel.n_samples - 1)
 
 
 def _bus_slices(bus_ids, widths):
@@ -215,29 +200,29 @@ def _validate_frame_source(frame, source):
 class PanelStatistics:
     """One standardized covariance over all bus features of a panel.
 
-    The covariance comes from a single gather of every claimed channel
-    into a (T, D) block and a single product of the centred block with
-    itself; the features are then standardized by a diagonal rescale
-    (population variances, so the diagonal reads n/(n-1), or 1 at
-    infinite data). The covariance is that of the phase-frame features
-    whatever the frame; frame only labels the results (see the module
-    docstring).
+    The covariance comes from one slice of the claimed channels' (T, D)
+    block (its float64 (Re, Im) view for the complex source) and a
+    single product of the centred slice with itself; the features are
+    then standardized by a diagonal rescale (population variances, so
+    the diagonal reads n/(n-1), or 1 at infinite data). The covariance
+    is that of the phase-frame features whatever the frame; frame only
+    labels the results (see the module docstring).
     Every mutual-information query then reduces to log-determinants of
     principal submatrices, all taken by one batched primitive
     (_logdets). The all-pairs matrix batches its pairs per joint
     dimension, and each bus's own log-determinant is computed once and
     shared by the matrix and every later group_mi query.
 
-    The substation (bus 0) joins the gather only when its own block
-    carries a usable signal (see _slack_has_signal); otherwise the
-    statistics cover the non-slack buses alone.
+    The substation (bus 0) joins the column range only when its own
+    block carries a usable signal (see _slack_has_signal); otherwise
+    the statistics cover the non-slack buses alone.
 
     ridge >= 0 is added to the standardized diagonal; it is a
     last-resort retry for singular sample covariances.
 
     from_analytic builds the same statistics from an exact increment
-    covariance instead of a panel: infinite data, same code after the
-    gather.
+    covariance instead of a panel, interleaved into the same feature
+    order: infinite data, same code after the covariance.
     """
 
     def __init__(self, panel, frame="phase", source="complex", ridge=0.0):
@@ -255,19 +240,17 @@ class PanelStatistics:
     def from_analytic(cls, acov, frame="phase"):
         """Exact statistics of the complex source from an AnalyticCovariance.
 
-        acov.real is permuted into the gather layout (each bus's Re
-        slots, then its Im slots) and then takes the panel path's
-        standardisation. n_samples is infinite. The analytic
-        channels have no substation, so substation_mi() is None.
+        acov.real's [Re; Im] rows and columns are interleaved into the
+        panel path's layout, (Re, Im) of each channel in column order,
+        and then take its standardisation. n_samples is infinite. The
+        analytic channels have no substation, so substation_mi() is None.
         """
         _validate_frame_source(frame, "complex")
-        widths = acov.masks[1:].sum(axis=1)
-        col, part = _re_im_order(widths)
-        order = part * acov.dim + col
+        order = np.arange(2 * acov.dim).reshape(2, acov.dim).T.ravel()
         cov = acov.real[np.ix_(order, order)]
         bus_ids = list(range(1, acov.masks.shape[0]))
-        return cls._from_cov(cov, _bus_slices(bus_ids, 2 * widths), bus_ids, frame,
-                             "complex", math.inf)
+        return cls._from_cov(cov, _bus_slices(bus_ids, 2 * acov.masks[1:].sum(axis=1)),
+                             bus_ids, frame, "complex", math.inf)
 
     @classmethod
     def _from_cov(cls, cov, slices, bus_ids, frame, source, n):

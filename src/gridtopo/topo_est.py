@@ -248,6 +248,8 @@ def estimate_from_csv(path):
         except (TypeError, ValueError):
             raise error("parent_id and child_id must be integers", line_no)
         pair = tuple(sorted((a, b)))
+        if pair[0] < 0:
+            raise error(f"bus ids must be non-negative, got {pair[0]}", line_no)
         if pair in seen:
             raise error(f"repeated edge {pair}", line_no)
         if 0 in pair and root_edge is not None:
@@ -272,8 +274,11 @@ def estimate_from_csv(path):
             chords.append(pair)
         else:
             edges.append(pair)
-    est = EdgeSetEstimate(bus_ids=tuple(sorted(buses)), edges=tuple(edges),
-                          weights=weights, chords=tuple(chords))
+    try:
+        est = EdgeSetEstimate(bus_ids=tuple(sorted(buses)), edges=tuple(edges),
+                              weights=weights, chords=tuple(chords))
+    except TopologyEstimateError as exc:
+        raise TopologyEstimateError(f"{path}: {exc}") from None
     est.root_edge = root_edge
     return est
 

@@ -62,7 +62,7 @@ def dense_reference(acov, frame):
             B[np.ix_(p + D, p + D)] = A.real
     C = B @ acov.real @ B.T
     d = np.sqrt(np.diag(C))
-    return C / np.outer(d, d), {b: np.concatenate([p, p + D]) for b, p in pos.items()}
+    return C / np.outer(d, d), {b: np.stack([p, p + D], axis=1).ravel() for b, p in pos.items()}
 
 
 def dense_mi(C, pos):

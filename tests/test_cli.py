@@ -330,6 +330,8 @@ def test_identify_phases_unrooted_tree_needs_root(tmp_path, capsys):
 @pytest.mark.parametrize("rows, message", [
     ("0,1\n1,2\n1,3\n2,4\n2,5\n3,6\n3,7\n7,17\n", "bus 17 is not in the measurements"),
     ("0,1\n1,2\n1,3\n2,4\n2,5\n3,6\n", "bus 7 is missing from the tree"),
+    ("0,1\n1,2\n1,3\n2,4\n2,5\n6,7\n",
+     "other_topology.csv: expected 6 tree edges over 7 buses, got 5"),
 ])
 def test_identify_phases_rejects_a_tree_over_other_buses(tmp_path, capsys, rows, message):
     prefix = _simulate(tmp_path, samples=200)
@@ -470,6 +472,7 @@ def test_sweep_rejects_garbled_values(tmp_path, capsys):
     pytest.param("1,2," + "9" * (csv.field_size_limit() + 1) + "\n", 2, id="oversized-field"),
     pytest.param("0,1,0.5\n0,2,0.5\n", 3, id="second-root-row"),
     pytest.param("1,2,0.5\n2,1,0.5\n", 3, id="repeated-pair"),
+    pytest.param("1,2,0.5\n1,-3,0.5\n", 3, id="negative-bus-id"),
 ])
 def test_identify_phases_bad_topology_row_names_line(tmp_path, capsys, rows, line):
     prefix = _simulate(tmp_path, samples=50)
@@ -510,11 +513,16 @@ def _repeat_branch_1_2(lines):
     lines.append(lines[2])
 
 
+def _negative_child(lines):
+    lines[1] = lines[1].replace("0,1,", "0,-1,", 1)
+
+
 @pytest.mark.parametrize("feeder, edit, message", [
     ("bus8", _drop_branch_1_2, "need 7 tree branches for 8 buses, got 6"),
     ("bus8", _drop_substation_branch, "no branch leaves the substation (bus 0)"),
     ("bus15_mesh", _chord_as_tree_branch, "bus 7 has two tree parents"),
     ("bus8", _repeat_branch_1_2, "error: line 9: duplicate branch (1, 2)\n"),
+    ("bus8", _negative_child, "error: line 2: bus ids must be non-negative, got -1\n"),
 ])
 def test_simulate_bad_topology_graph_exits_two(tmp_path, capsys, feeder, edit, message):
     _simulate(tmp_path, feeder=feeder, samples=50)

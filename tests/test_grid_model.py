@@ -86,6 +86,24 @@ def test_carson_rejects_bad_inputs():
         carson_impedance(line, 0.0, PhaseMask.from_string("a"))
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: LineModel(r_per_mile=float("inf")), "r_per_mile", id="r-inf"),
+    pytest.param(lambda: LineModel(r_per_mile=1.0, h_self=(8.0, float("nan"), 8.0)),
+                 "h_self and h_mut must be finite", id="h-self-nan"),
+    pytest.param(lambda: LineModel(r_per_mile=1.0, h_mut=(5.0, 5.0, -float("inf"))),
+                 "h_self and h_mut must be finite", id="h-mut-inf"),
+    pytest.param(lambda: Branch(parent=0, child=1, mask=PhaseMask.from_string("a"),
+                                line=LineModel(r_per_mile=1.0), length_miles=float("inf")),
+                 "length_miles", id="length-inf"),
+    pytest.param(lambda: Branch(parent=0, child=1, mask=PhaseMask.from_string("a"),
+                                line=LineModel(r_per_mile=1.0), length_miles=float("nan")),
+                 "length_miles", id="length-nan"),
+])
+def test_line_and_branch_refuse_non_finite_values(build, message):
+    with pytest.raises(InvalidLineError, match=message):
+        build()
+
+
 def test_branch_admittance_inverts_present_block():
     line = LineModel(r_per_mile=1.5)
     mask = PhaseMask.from_string("ab")
@@ -186,6 +204,8 @@ def test_buses_follow_from_the_branches():
                  id="gap-in-bus-ids"),
     pytest.param([(0, 1, "abc"), (1, 2, "a"), (2, 1, "a")], r"duplicate branch \(1, 2\)",
                  id="duplicate-branch"),
+    pytest.param([(0, 1, "abc"), (1, -1, "a")], r"bus ids must be non-negative, got -1",
+                 id="negative-bus-id"),
 ])
 def test_branch_list_errors(edges, message):
     with pytest.raises(GridModelError, match=message):
@@ -321,6 +341,21 @@ def test_topology_csv_chord_column_only_for_meshes():
     back = topology_from_csv(mesh_buf)
     assert {tuple(sorted((c.parent, c.child))) for c in back.chords} == \
            {tuple(sorted((c.parent, c.child))) for c in mesh.chords}
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("column", TOPOLOGY_COLUMNS[3:])
+def test_topology_csv_refuses_a_non_finite_number_naming_its_line(bus8, column, token):
+    buf = io.StringIO()
+    topology_to_csv(bus8, buf)
+    lines = buf.getvalue().splitlines()
+    fields = lines[2].split(",")
+    assert fields[2] == "abc"
+    fields[TOPOLOGY_COLUMNS.index(column)] = token
+    lines[2] = ",".join(fields)
+    with pytest.raises(TopologyFormatError,
+                       match=f"line 3: column '{column}': '{token}' is not a finite number"):
+        topology_from_csv(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_topology_csv_bad_number_reports_line():

@@ -263,7 +263,7 @@ def _reference_features(panel, bus_id, frame, source):
         return m if frame == "phase" else m @ A.T
     if frame == "sequence":
         x = x @ A.T
-    return np.hstack([x.real, x.imag])
+    return np.stack([x.real, x.imag], axis=-1).reshape(x.shape[0], -1)
 
 
 def _reference_statistics(panel, frame, source, slack=False):
