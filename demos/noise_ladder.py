@@ -4,11 +4,10 @@ Degradation under measurement noise on the 33-bus feeder.
 
 Noise is multiplicative and bounded (a fraction of the reading), which
 matches meter class specs. Recovery holds through roughly 0.1% noise
-at one year of hourly data, then degrades. Writes the sweep as CSV
-next to this script.
+at one year of hourly data, then degrades. Each of the 30 replicates
+is drawn once and measured at all six noise levels. Writes the sweep as
+noise_ladder.csv in the working directory.
 """
-import os
-
 from gridtopo import ScenarioConfig, sweep, write_sweep_csv
 
 LEVELS = [0.0, 1e-4, 5e-4, 1e-3, 2e-3, 5e-3]
@@ -24,6 +23,6 @@ for level, rep in zip(LEVELS, reports):
     ers = rep.error_rates()
     print(f"{level:10.4%}  {rep.error_rate_mean:8.3f}%  {max(ers):8.2f}%")
 
-out = os.path.join(os.path.dirname(__file__), "noise_ladder.csv")
+out = "noise_ladder.csv"
 write_sweep_csv(reports, out)
 print(f"wrote {out}")

@@ -5,7 +5,7 @@ measurements), identify-phases (labels along a recovered tree),
 evaluate (Monte Carlo scenario), sweep (scenario series along one
 axis). Every command is deterministic given its inputs, flags and
 seed. Exit codes: 0 success, 1 estimation-quality warning (unrooted
-tree, unresolved phases), 2 input error.
+tree, unresolved phases, failed replicates), 2 input error.
 """
 
 from __future__ import annotations
@@ -215,6 +215,16 @@ def _scenario_from_args(args):
     return ScenarioConfig(**{k: v for k, v in given.items() if k in fields})
 
 
+def _warn_failures(reports):
+    """Warn on stderr about each report with failed replicates; 1 if any did."""
+    for r in reports:
+        if r.failures:
+            point = f"{r.axis}={r.value}" if r.axis else f"feeder {r.scenario['feeder']}"
+            print(f"warning: {len(r.failures)} of {r.replicates} replicates failed at "
+                  f"{point}: {r.failures[0][1]}", file=sys.stderr)
+    return int(any(r.failures for r in reports))
+
+
 def cmd_evaluate(args):
     config = _scenario_from_args(args)
     report = monte_carlo(config, args.replicates, base_seed=args.seed,
@@ -226,7 +236,7 @@ def cmd_evaluate(args):
             json.dump(report.canonical_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"wrote {args.out}")
-    return 0
+    return _warn_failures([report])
 
 
 def cmd_sweep(args):
@@ -248,7 +258,7 @@ def cmd_sweep(args):
         json.dump([r.canonical_dict() for r in reports], fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return _warn_failures(reports)
 
 
 _COMMANDS = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import numbers
 import time
@@ -170,18 +171,24 @@ def build_context(config, topology=None):
     )
 
 
-def draw_panel(ctx, seed):
-    """One draw of the scenario's measured voltage panel.
+def _clean_record(ctx, seed, n_samples):
+    """The noiseless voltages of one draw, n_samples snapshots long; the
+    exact prefix of every longer record under seed (see increments)."""
+    inc = ctx.sampler.increments(n_samples - 1, seed=seed,
+                                 slack_sigma=ctx.config.slack_sigma)
+    return integrate_voltages(inc)
 
-    Increments under seed, integrated, strided, then meter noise and
-    label corruption (feeder head protected) under derived seeds.
+
+def _measure(ctx, record, seed):
+    """What the meters report of a clean record under the scenario.
+
+    The record at the configured stride, then meter noise and label
+    corruption (feeder head protected) under seeds derived from seed.
+    Neither depends on the record's length, so the first samples of a
+    measured record are the measured shorter record, to the last bit.
     """
     cfg = ctx.config
-    inc = ctx.sampler.increments(cfg.n_samples - 1, seed=seed,
-                                 slack_sigma=cfg.slack_sigma)
-    volts = integrate_voltages(inc)
-    if cfg.resolution_stride > 1:
-        volts.values = volts.values[::cfg.resolution_stride]
+    volts = dataclasses.replace(record, values=record.values[::cfg.resolution_stride])
     if cfg.noise_bound > 0.0:
         noise = NoiseSpec(bound=cfg.noise_bound, distribution=cfg.noise_distribution)
         volts = apply_noise(volts, noise, seed=seed + _NOISE_SEED_OFFSET)
@@ -191,10 +198,15 @@ def draw_panel(ctx, seed):
     return volts
 
 
-def run_replicate(ctx, seed, replicate=None):
-    """One draw-and-recover pass; returns a flat result dict."""
+def draw_panel(ctx, seed):
+    """One draw of the scenario's measured voltage panel: the clean
+    record of n_samples snapshots under seed, measured."""
+    return _measure(ctx, _clean_record(ctx, seed, ctx.config.n_samples), seed)
+
+
+def _recover(ctx, volts, seed, replicate):
+    """Recovery of one measured panel, scored; returns a flat result dict."""
     cfg = ctx.config
-    volts = draw_panel(ctx, seed)
     estimate, stats = estimate_topology(volts, frame=cfg.frame, source=cfg.source,
                                         mesh=cfg.mesh, max_chords=cfg.max_chords,
                                         gain_tol=cfg.gain_tol, ridge=cfg.ridge,
@@ -205,7 +217,7 @@ def run_replicate(ctx, seed, replicate=None):
                                  estimate.edge_set(include_root=False, include_chords=True))
     er = 100.0 * (false + missing) / len(ctx.true_edges)
     out = {
-        "replicate": seed if replicate is None else replicate,
+        "replicate": replicate,
         "seed": seed,
         "error_rate": er,
         "false_edges": false,
@@ -217,6 +229,45 @@ def run_replicate(ctx, seed, replicate=None):
         assignment = assign_phases(estimate, volts,
                                    use_increments=cfg.use_increment_correlation)
         out["phase_accuracy"] = assignment_accuracy(assignment, volts)
+    return out
+
+
+def run_replicate(ctx, seed, replicate=None):
+    """One draw-and-recover pass; returns a flat result dict."""
+    return _recover(ctx, draw_panel(ctx, seed), seed,
+                    seed if replicate is None else replicate)
+
+
+def _replicate_points(points, seed, replicate):
+    """One replicate at every point: a result dict or an error message each.
+
+    Points that share a sampler share one clean record, drawn at the
+    longest n_samples among them. Points that also share the meter
+    settings share one measurement of it, and each takes its first
+    samples, which is the exact prefix draw_panel would give at that
+    length. An exception fails only the points it reaches; a failed
+    draw reaches every point of its sampler.
+    """
+    longest = {}
+    for ctx in points:
+        longest[ctx.sampler] = max(longest.get(ctx.sampler, 0), ctx.config.n_samples)
+    records, measured, out = {}, {}, []
+    for ctx in points:
+        cfg = ctx.config
+        # every ScenarioConfig field that _measure reads
+        meters = (ctx.sampler, cfg.resolution_stride, cfg.noise_bound,
+                  cfg.noise_distribution, cfg.label_fraction)
+        try:
+            if meters not in measured:
+                if ctx.sampler not in records:
+                    records[ctx.sampler] = _clean_record(ctx, seed, longest[ctx.sampler])
+                measured[meters] = _measure(ctx, records[ctx.sampler], seed)
+            panel = measured[meters]
+            n = len(range(0, cfg.n_samples, cfg.resolution_stride))
+            volts = dataclasses.replace(panel, values=panel.values[:n])
+            out.append(_recover(ctx, volts, seed, replicate))
+        except Exception as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
     return out
 
 
@@ -279,57 +330,74 @@ def _aggregate(results, failures, config, replicates, base_seed, axis, value, wa
     return report
 
 
-def monte_carlo(config, replicates, base_seed=0, threads=1, context=None,
-                axis=None, value=None):
-    """Run independent replicates of a scenario and aggregate.
+def _evaluate(points, replicates, base_seed, threads, axis, values, t0):
+    """Every replicate through every point on one pool; one report per point.
 
-    Replicate r uses seed base_seed ^ r so a single base seed pins the
-    entire experiment. Replicates run on a pool of `threads` workers.
-    Per-replicate exceptions are recorded as failures rather than
-    aborting the run.
+    Replicate r uses seed base_seed ^ r at every point. Each report's
+    wall time is that of the whole call, which started at t0.
     """
     if replicates < 1:
         raise EvalError("need at least one replicate")
     if threads < 1:
         raise EvalError(f"threads must be at least 1, got {threads}")
+    seeds = [base_seed ^ r for r in range(replicates)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(_replicate_points, itertools.repeat(points), seeds,
+                             range(replicates)))
+    wall = time.perf_counter() - t0
+    reports = []
+    for i, (ctx, value) in enumerate(zip(points, values)):
+        results = [row[i] for row in rows if isinstance(row[i], dict)]
+        failures = [(r, row[i]) for r, row in enumerate(rows) if isinstance(row[i], str)]
+        reports.append(_aggregate(results, failures, ctx.config, replicates, base_seed,
+                                  axis, value, wall))
+    return reports
+
+
+def monte_carlo(config, replicates, base_seed=0, threads=1, context=None):
+    """Run independent replicates of a scenario and aggregate.
+
+    Replicate r uses seed base_seed ^ r so a single base seed pins the
+    entire experiment. Replicates run on a pool of `threads` workers.
+    Per-replicate exceptions are recorded as failures rather than
+    aborting the run. This is sweep's loop with a single point, so a
+    sweep point's report equals monte_carlo's at that point, apart from
+    wall_time_s, which is the wall time of the whole call.
+    """
     t0 = time.perf_counter()
     ctx = context if context is not None else build_context(config)
-    results, failures = [], []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = {pool.submit(run_replicate, ctx, base_seed ^ r, r): r
-                for r in range(replicates)}
-        for fut in concurrent.futures.as_completed(futs):
-            try:
-                results.append(fut.result())
-            except Exception as exc:
-                failures.append((futs[fut], f"{type(exc).__name__}: {exc}"))
-    wall = time.perf_counter() - t0
-    return _aggregate(results, failures, ctx.config, replicates, base_seed,
-                      axis, value, wall)
+    return _evaluate([ctx], replicates, base_seed, threads, None, [None], t0)[0]
 
 
 def sweep(config, axis, values, replicates, base_seed=0, threads=1):
-    """One monte_carlo per axis value, with common random numbers.
+    """monte_carlo at each axis value, with common random numbers.
 
     All points share the same replicate seeds, so monotone trends are
-    not masked by draw-to-draw variance. The generator context is
-    shared across points unless the axis changes the injection model.
+    not masked by draw-to-draw variance, and each report equals
+    monte_carlo's at its point. One pool of `threads` workers runs one
+    job per replicate seed: it draws the clean record once, at the
+    longest data length among the points, and measures and recovers
+    every point from its exact prefix. A der_scale point changes the
+    injection model, so it gets its own context and draws its own
+    record. Every report's wall_time_s is the wall time of the whole
+    call.
     """
     if axis not in SWEEP_AXES:
         raise EvalError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
+    t0 = time.perf_counter()
+    values = list(values)
     fieldname = SWEEP_AXES[axis]
     cast = int if fieldname in _INTEGER_FIELDS else float
     for v in values:
         if cast is int and not float(v).is_integer():
             raise EvalError(f"{axis} values must be whole numbers, got {v!r}")
-    shared = None if axis == "der_scale" else build_context(config)
-    reports = []
-    for v in values:
-        cfg = config.replaced(**{fieldname: cast(v)})
-        ctx = build_context(cfg) if shared is None else dataclasses.replace(shared, config=cfg)
-        reports.append(monte_carlo(cfg, replicates, base_seed=base_seed,
-                                   threads=threads, context=ctx, axis=axis, value=v))
-    return reports
+    configs = [config.replaced(**{fieldname: cast(v)}) for v in values]
+    if axis == "der_scale":
+        points = [build_context(cfg) for cfg in configs]
+    else:
+        shared = build_context(config)
+        points = [dataclasses.replace(shared, config=cfg) for cfg in configs]
+    return _evaluate(points, replicates, base_seed, threads, axis, values, t0)
 
 
 def write_sweep_csv(reports, path):

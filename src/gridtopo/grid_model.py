@@ -482,6 +482,8 @@ def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
         if min(parent, child) < 0:
             raise TopologyFormatError(
                 f"bus ids must be non-negative, got {min(parent, child)}", line_no)
+        if parent == child:
+            raise TopologyFormatError(f"self-loop at bus {parent}", line_no)
         phases = row[pos["phases"]].strip().lower()
         if not phases or any(p not in "abc" for p in phases) or len(set(phases)) != len(phases):
             raise TopologyFormatError(f"bad phases field {phases!r}", line_no)

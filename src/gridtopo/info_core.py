@@ -37,7 +37,9 @@ and the standardisation is a diagonal rescale of the result.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -210,8 +212,9 @@ class PanelStatistics:
     Every mutual-information query then reduces to log-determinants of
     principal submatrices, all taken by one batched primitive
     (_logdets). The all-pairs matrix batches its pairs per joint
-    dimension, and each bus's own log-determinant is computed once and
-    shared by the matrix and every later group_mi query.
+    dimension, gathering them by a plan built once per feature layout
+    (_pair_plan), and each bus's own log-determinant is computed once
+    and shared by the matrix and every later group_mi query.
 
     The substation (bus 0) joins the column range only when its own
     block carries a usable signal (see _slack_has_signal); otherwise
@@ -289,15 +292,14 @@ class PanelStatistics:
                 f"covariance, got {self.n_samples}"
             )
 
-    def _logdets(self, idx):
-        """log|det| of the principal blocks cov[idx[n], idx[n]], as (ld, ok).
+    def _logdets(self, flat):
+        """log|det| of principal blocks of cov, as (ld, ok).
 
-        idx is an (n, d) array of feature positions. ok[n] is False
+        flat is an (n, d, d) array of flat positions in cov, one block
+        each (see _flat_positions), gathered in one take. ok[n] is False
         where block n's determinant is not positive and finite; every
         mutual information in this module is a difference of these.
-        The blocks are gathered in one take on flat positions of cov.
         """
-        flat = idx[:, :, None] * self.dim + idx[:, None, :]
         sign, ld = np.linalg.slogdet(np.take(self.cov, flat))
         return ld, (sign > 0) & np.isfinite(ld)
 
@@ -309,7 +311,7 @@ class PanelStatistics:
         if len(buses) == 1 and buses[0] in self._marginal:
             return self._marginal[buses[0]]
         idx = np.array([[j for b in buses for j in self.slices[b]]], dtype=np.intp)
-        ld, ok = self._logdets(idx)
+        ld, ok = self._logdets(_flat_positions(idx, self.dim))
         if not ok[0]:
             raise SingularCovarianceError(f"singular covariance for buses {list(buses)}")
         if len(buses) == 1:
@@ -342,40 +344,28 @@ class PanelStatistics:
     def _all_pairs_mi(self):
         buses = [b for b in self.bus_ids if b != 0]
         M = len(buses)
-        dims = np.array([len(self.slices[b]) for b in buses], dtype=np.intp)
-        self.require_samples(int(np.sort(dims)[-2:].sum()) if M >= 2 else 0)
-        # row r holds bus r's feature positions, padded to the widest bus
-        table = np.zeros((M, dims.max() if M else 0), dtype=np.intp)
-        for row, b in zip(table, buses):
-            row[:len(self.slices[b])] = self.slices[b]
+        widths = tuple(len(self.slices[b]) for b in buses)
+        self.require_samples(sum(sorted(widths)[-2:]) if M >= 2 else 0)
+        with _PLAN_LOCK:
+            singles, pairs = _pair_plan(widths, self.slices[buses[0]][0] if M else 0)
         # the buses' own log-determinants, one batch per bus width
         marg = np.empty(M)
         good = np.empty(M, dtype=bool)
-        for d in np.unique(dims).tolist():
-            sel = np.flatnonzero(dims == d)
-            marg[sel], good[sel] = self._logdets(table[sel, :d])
+        for sel, flat in singles:
+            marg[sel], good[sel] = self._logdets(flat)
         if not good.all():
             bad = buses[int(np.flatnonzero(~good)[0])]
             raise SingularCovarianceError(f"singular covariance for buses {[bad]}")
         self._marginal.update(zip(buses, marg.tolist()))
-        ii, kk = np.triu_indices(M, 1)
-        joint = dims[ii] + dims[kk]
         values = np.zeros((M, M))
         failures = []
-        # one batched determinant per joint dimension; each pair's joint
-        # block lists bus ii's features, then bus kk's
-        for d in np.unique(joint).tolist():
-            sel = np.flatnonzero(joint == d)
-            a, b = ii[sel, None], kk[sel, None]
-            j = np.arange(d)
-            first = j < dims[a]
-            idx = np.where(first, table[a, np.where(first, j, 0)],
-                           table[b, np.where(first, 0, j - dims[a])])
-            ld, ok = self._logdets(idx)
-            failures += [(buses[x], buses[y]) for x, y in zip(ii[sel[~ok]], kk[sel[~ok]])]
-            mi = 0.5 * (marg[ii[sel]] + marg[kk[sel]] - ld)
-            values[ii[sel], kk[sel]] = mi
-            values[kk[sel], ii[sel]] = mi
+        # one batched determinant per joint dimension
+        for ii, kk, flat in pairs:
+            ld, ok = self._logdets(flat)
+            failures += [(buses[x], buses[y]) for x, y in zip(ii[~ok], kk[~ok])]
+            mi = 0.5 * (marg[ii] + marg[kk] - ld)
+            values[ii, kk] = mi
+            values[kk, ii] = mi
         if failures:
             raise MIComputationError(sorted(failures))
         return MIMatrix(bus_ids=tuple(buses), values=values,
@@ -399,6 +389,51 @@ class PanelStatistics:
             if v > _chi2_upper_quantile(alpha, dof) / (2.0 * self.n_samples):
                 return out
         return None
+
+
+def _flat_positions(idx, dim):
+    """Flat positions in a (dim, dim) matrix of the principal blocks idx[n]."""
+    return idx[:, :, None] * dim + idx[:, None, :]
+
+
+# held while a plan is looked up, so that concurrent first uses of a
+# layout build its plan once
+_PLAN_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_plan(widths, base):
+    """The all-pairs gather plan of a feature layout, as (singles, pairs).
+
+    widths are the feature counts of the non-slack buses, whose features
+    follow one another from position base (after the substation's, when
+    it is in the statistics). The plan depends on nothing else, so every
+    panel of a feeder and source shares one. singles lists (bus
+    indices, flat block positions) per bus width; pairs lists (ii, kk,
+    flat block positions) per joint width, ii < kk, where each pair's
+    joint block lists bus ii's features, then bus kk's.
+    """
+    dims = np.array(widths, dtype=np.intp)
+    dim = base + int(dims.sum())
+    starts = base + np.cumsum(dims) - dims
+    singles = []
+    for d in np.unique(dims).tolist():
+        sel = np.flatnonzero(dims == d)
+        singles.append((sel, _flat_positions(starts[sel, None] + np.arange(d), dim)))
+    ii, kk = np.triu_indices(len(dims), 1)
+    joint = dims[ii] + dims[kk]
+    pairs = []
+    for d in np.unique(joint).tolist():
+        sel = np.flatnonzero(joint == d)
+        a, b = ii[sel, None], kk[sel, None]
+        j = np.arange(d)
+        idx = np.where(j < dims[a], starts[a] + j, starts[b] + j - dims[a])
+        pairs.append((ii[sel], kk[sel], _flat_positions(idx, dim)))
+    # every caller shares these arrays
+    for group in singles + pairs:
+        for a in group:
+            a.flags.writeable = False
+    return singles, pairs
 
 
 def _chi2_upper_quantile(alpha, dof):

@@ -294,6 +294,10 @@ class AnalyticCovariance:
         return self.real.shape[0] // 2
 
 
+# rows of normals per product with the sampling matrix (see increments)
+DRAW_BLOCK = 256
+
+
 class FeederSampler:
     """Shared machinery for sampling one feeder + injection spec.
 
@@ -348,20 +352,22 @@ class FeederSampler:
         """Increment panel of T samples; optional slack common-mode term.
 
         The normals are drawn time-major, the slack term's from a stream
-        spawned from rng, so at one seed the first T samples of a longer
-        run come from the same normals, as data-length sweeps need. They
-        agree to rounding, and to the last bit in every row that the
-        BLAS product with the sampling matrix computes the same way at
-        both lengths; OpenBLAS does not past its kernel's last full row
-        block, nor in a run of a few dozen samples.
+        spawned from rng, and the normals meet the sampling matrix in
+        blocks of DRAW_BLOCK rows, the last one padded with zero rows.
+        A sample's bits then depend on its row alone, not on T: at one
+        seed the first T samples of a longer run equal the T-sample run
+        to the last bit, as data-length sweeps need. A single product of
+        all T rows would not give that, since BLAS computes its tail
+        rows and short runs differently.
         """
         if T < 1:
             raise SynthError("need at least one increment sample")
         if rng is None:
             rng = np.random.default_rng(self.spec.seed if seed is None else seed)
         D = self.D
-        W = rng.standard_normal((T, 2 * D))
-        X = W @ self.sampling_matrix.T
+        W = np.zeros((-(-T // DRAW_BLOCK) * DRAW_BLOCK, 2 * D))
+        rng.standard_normal(out=W[:T])
+        X = (W.reshape(-1, DRAW_BLOCK, 2 * D) @ self.sampling_matrix.T).reshape(-1, 2 * D)[:T]
         masks = self.masks.copy()
         values = np.zeros((T, int(masks.sum())), dtype=complex)
         block = values[:, values.shape[1] - D:]

@@ -181,10 +181,12 @@ def max_weight_spanning_tree(mi):
 def _prim_links(w, buses):
     """(tree index, new index) pairs in the order Prim adds the vertices.
 
-    Each outside vertex keeps only its best weight into the tree (a
-    running maximum). The vertex to add is the one whose best edge ranks
-    first; ties on weight are settled by the pair key, looking up the
-    tree end among the in-tree vertices that reach that weight.
+    Each outside vertex keeps its best weight into the tree (a running
+    maximum) and the tree end that gives it, updated as each vertex
+    joins. The vertex to add is the one whose best edge ranks first.
+    Exact weight ties, between two tree ends of one vertex or between
+    two vertices at the top, are settled by the pair key, and only
+    where a tie exists.
     """
     m = len(buses)
     if m < 2:
@@ -196,24 +198,26 @@ def _prim_links(w, buses):
 
     outside = np.arange(1, m)
     best = w[0, 1:].copy()
-    in_tree = np.zeros(m, dtype=bool)
-    in_tree[0] = True
+    end = np.zeros(m - 1, dtype=np.intp)
     links = []
     for n in range(m - 1, 0, -1):
-        top = best[:n].max()
-        picks = []
-        for j in np.flatnonzero(best[:n] == top).tolist():
-            v = int(outside[j])
-            ends = np.flatnonzero((w[v] == top) & in_tree).tolist()
-            s = min(ends, key=lambda u: key(u, v))
-            picks.append((key(s, v), j, s, v))
-        _, j, s, v = min(picks)
+        j = int(best[:n].argmax())
+        top = best[j]
+        if np.count_nonzero(best[:n] == top) > 1:
+            j = min(np.flatnonzero(best[:n] == top).tolist(),
+                    key=lambda i: key(end[i], outside[i]))
+        s, v = int(end[j]), int(outside[j])
         links.append((s, v))
-        in_tree[v] = True
         # swap-remove v from the outside set, then relax through it
         last = n - 1
-        outside[j], best[j] = outside[last], best[last]
-        np.maximum(best[:last], w[v, outside[:last]], out=best[:last])
+        outside[j], best[j], end[j] = outside[last], best[last], end[last]
+        row = w[v].take(outside[:last])
+        tied = np.flatnonzero(row == best[:last])
+        end[:last][row > best[:last]] = v
+        np.maximum(best[:last], row, out=best[:last])
+        for i in tied.tolist():
+            if key(v, outside[i]) < key(end[i], outside[i]):
+                end[i] = v
     return links
 
 
@@ -250,6 +254,8 @@ def estimate_from_csv(path):
         pair = tuple(sorted((a, b)))
         if pair[0] < 0:
             raise error(f"bus ids must be non-negative, got {pair[0]}", line_no)
+        if a == b:
+            raise error(f"self-loop at bus {a}", line_no)
         if pair in seen:
             raise error(f"repeated edge {pair}", line_no)
         if 0 in pair and root_edge is not None:

@@ -385,6 +385,29 @@ def test_evaluate_writes_report(tmp_path, capsys):
     assert data["error_rate_mean"] == 0.0
 
 
+def test_evaluate_exits_one_when_a_replicate_fails(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main(["evaluate", "--feeder", "bus8", "--samples", "5", "--replicates", "2",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("warning: 2 of 2 replicates failed at feeder bus8: InfoCoreError: ")
+    assert len(json.loads(out.read_text())["failures"]) == 2
+
+
+def test_sweep_exits_one_when_a_replicate_fails(tmp_path, capsys):
+    rc = main(["sweep", "--feeder", "bus8", "--samples", "300", "--replicates", "2",
+               "--axis", "data_length", "--values", "5,300", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: 2 of 2 replicates failed at data_length=5.0: "
+                             "InfoCoreError: ")
+    points = json.loads((tmp_path / "run.data_length.json").read_text())
+    assert [len(p["failures"]) for p in points] == [2, 0]
+    assert (tmp_path / "run.data_length.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--replicates", "0"],
     ["--threads", "0"],
@@ -473,6 +496,7 @@ def test_sweep_rejects_garbled_values(tmp_path, capsys):
     pytest.param("0,1,0.5\n0,2,0.5\n", 3, id="second-root-row"),
     pytest.param("1,2,0.5\n2,1,0.5\n", 3, id="repeated-pair"),
     pytest.param("1,2,0.5\n1,-3,0.5\n", 3, id="negative-bus-id"),
+    pytest.param("1,2,0.5\n3,3,0.5\n", 3, id="self-loop"),
 ])
 def test_identify_phases_bad_topology_row_names_line(tmp_path, capsys, rows, line):
     prefix = _simulate(tmp_path, samples=50)
@@ -517,12 +541,17 @@ def _negative_child(lines):
     lines[1] = lines[1].replace("0,1,", "0,-1,", 1)
 
 
+def _self_loop_at_4(lines):
+    lines[4] = lines[4].replace("2,4,", "4,4,", 1)
+
+
 @pytest.mark.parametrize("feeder, edit, message", [
     ("bus8", _drop_branch_1_2, "need 7 tree branches for 8 buses, got 6"),
     ("bus8", _drop_substation_branch, "no branch leaves the substation (bus 0)"),
     ("bus15_mesh", _chord_as_tree_branch, "bus 7 has two tree parents"),
     ("bus8", _repeat_branch_1_2, "error: line 9: duplicate branch (1, 2)\n"),
     ("bus8", _negative_child, "error: line 2: bus ids must be non-negative, got -1\n"),
+    ("bus8", _self_loop_at_4, "error: line 5: self-loop at bus 4\n"),
 ])
 def test_simulate_bad_topology_graph_exits_two(tmp_path, capsys, feeder, edit, message):
     _simulate(tmp_path, feeder=feeder, samples=50)

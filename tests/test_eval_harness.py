@@ -6,6 +6,7 @@ import pytest
 
 from gridtopo import info_core
 from gridtopo.eval_harness import (
+    SWEEP_AXES,
     EvalError,
     ScenarioConfig,
     build_context,
@@ -19,6 +20,7 @@ from gridtopo.eval_harness import (
     write_sweep_csv,
 )
 from gridtopo.synth_lab import (
+    FeederSampler,
     InjectionSpec,
     generate_increments,
     integrate_voltages,
@@ -254,17 +256,91 @@ def test_sweep_shares_draws_across_points():
     assert reports[0].seeds == reports[1].seeds
 
 
+@pytest.mark.parametrize("feeder, short_n", [
+    ("bus33", 241), ("bus123", 241), ("bus8", 7), ("bus8", 25),
+])
 @pytest.mark.parametrize("slack_sigma", [0.0, 0.01])
 @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
-def test_shorter_record_is_a_prefix_of_the_longer_draw(distribution, slack_sigma):
-    cfg = ScenarioConfig(feeder="bus33", n_samples=1441, noise_bound=0.002,
+def test_shorter_record_is_a_prefix_of_the_longer_draw(distribution, slack_sigma, feeder,
+                                                       short_n):
+    cfg = ScenarioConfig(feeder=feeder, n_samples=1441, noise_bound=0.002,
                          noise_distribution=distribution, slack_sigma=slack_sigma,
                          label_fraction=0.1)
     ctx = build_context(cfg)
     long = draw_panel(ctx, 12)
-    short = draw_panel(dataclasses.replace(ctx, config=cfg.replaced(n_samples=241)), 12)
-    assert short.values.tobytes() == long.values[:241].tobytes()
+    short = draw_panel(dataclasses.replace(ctx, config=cfg.replaced(n_samples=short_n)), 12)
+    assert short.values.tobytes() == long.values[:short_n].tobytes()
     assert np.array_equal(short.labels, long.labels)
+
+
+# one axis each; bus8 cannot recover from 8 samples, so data_length
+# also checks that a failing point fails alike in both
+SWEEP_CASES = [
+    ("data_length", [8, 300, 120]),
+    ("noise", [0.0, 0.001, 0.004]),
+    ("label_fraction", [0.0, 0.3, 0.6]),
+    ("der_scale", [1.0, 4.0]),
+    ("resolution", [1, 3, 2]),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("axis, values", SWEEP_CASES)
+def test_every_sweep_point_equals_monte_carlo_at_that_point(axis, values, threads):
+    cfg = ScenarioConfig(feeder="bus8", n_samples=300, noise_bound=0.0005,
+                         noise_distribution="gaussian", label_fraction=0.2,
+                         slack_sigma=0.01)
+    reports = sweep(cfg, axis, values, replicates=3, base_seed=6, threads=threads)
+    field = SWEEP_AXES[axis]
+    for value, report in zip(values, reports):
+        point = cfg.replaced(**{field: type(getattr(cfg, field))(value)})
+        direct = monte_carlo(point, 3, base_seed=6, threads=threads)
+        direct.axis, direct.value = axis, value
+        assert (json.dumps(report.canonical_dict(), sort_keys=True)
+                == json.dumps(direct.canonical_dict(), sort_keys=True))
+    if axis == "data_length":
+        assert len(reports[0].failures) == 3
+
+
+def _counting_increments(monkeypatch, fail_seed=None):
+    """Record the length of every FeederSampler.increments draw; fail one seed."""
+    calls = []
+    increments = FeederSampler.increments
+
+    def counting(self, T, seed=None, **kw):
+        calls.append(T)
+        if seed == fail_seed:
+            raise RuntimeError("draw failed")
+        return increments(self, T, seed=seed, **kw)
+
+    monkeypatch.setattr(FeederSampler, "increments", counting)
+    return calls
+
+
+def test_data_length_sweep_draws_each_replicate_once(monkeypatch):
+    calls = _counting_increments(monkeypatch)
+    reports = sweep(ScenarioConfig(feeder="bus8", n_samples=300), "data_length",
+                    [120, 300, 200], replicates=3, base_seed=4, threads=2)
+    assert calls == [299] * 3
+    assert all(r.failures == [] for r in reports)
+    assert len({r.wall_time_s for r in reports}) == 1
+
+
+def test_a_failed_draw_fails_every_point_of_its_replicate(monkeypatch):
+    _counting_increments(monkeypatch, fail_seed=5 ^ 1)
+    reports = sweep(ScenarioConfig(feeder="bus8", n_samples=200), "noise", [0.0, 0.001],
+                    replicates=3, base_seed=5)
+    for r in reports:
+        assert r.failures == [(1, "RuntimeError: draw failed")]
+        assert [row["replicate"] for row in r.per_replicate] == [0, 2]
+
+
+def test_sweep_takes_values_from_any_iterable():
+    cfg = ScenarioConfig(feeder="bus8", n_samples=200, phases=False)
+    listed = sweep(cfg, "noise", [0.0, 0.001], replicates=2, base_seed=1)
+    generated = sweep(cfg, "noise", (v for v in [0.0, 0.001]), replicates=2, base_seed=1)
+    assert ([r.canonical_dict() for r in generated]
+            == [r.canonical_dict() for r in listed])
 
 
 def test_sweep_rejects_unknown_axis():

@@ -1,13 +1,17 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from conftest import channel_coords, dense_mi, dense_reference, padded, unpadded
+from gridtopo import info_core
 from gridtopo.feeders import FEEDER_NAMES, make_feeder, random_feeder
 from gridtopo.info_core import (
     SEQ_H_INV,
@@ -353,6 +357,42 @@ def test_exact_mi_matrix_equals_the_per_pair_loop_bit_for_bit(small_random_feede
     for _, _, acov in small_random_feeders:
         stats = PanelStatistics.from_analytic(acov, "sequence")
         assert np.array_equal(stats.mi_matrix().values, _all_pairs_loop_reference(stats))
+
+
+def test_all_pairs_gather_plan_is_built_once_per_layout(bus8, bus8_spec):
+    plans = info_core._pair_plan
+    plans.cache_clear()
+    for seed in (1, 2, 3):
+        PanelStatistics(generate_increments(bus8, bus8_spec, T=300, seed=seed)).mi_matrix()
+    assert (plans.cache_info().misses, plans.cache_info().hits) == (1, 2)
+    # one source's widths, or the substation's features in front, make another layout
+    panel = generate_increments(bus8, bus8_spec, T=300, seed=4, slack_sigma=0.01)
+    PanelStatistics(panel, source="magnitude").mi_matrix()
+    PanelStatistics(panel).mi_matrix()
+    assert (plans.cache_info().misses, plans.cache_info().hits) == (3, 2)
+
+
+def test_concurrent_first_uses_build_one_gather_plan(bus8, bus8_spec):
+    plans = info_core._pair_plan
+    panels = [generate_increments(bus8, bus8_spec, T=300, seed=s) for s in range(6)]
+    want = [PanelStatistics(p, source="magnitude").mi_matrix().values for p in panels]
+    stats = [PanelStatistics(p, source="magnitude") for p in panels]
+    start = threading.Barrier(len(stats))
+
+    def first_use(s):
+        start.wait(timeout=60)
+        return s.mi_matrix().values
+
+    plans.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(stats)) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(first_use, s) for s in stats]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert plans.cache_info().misses == 1
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_batched_marginals_equal_the_per_bus_logdet_bit_for_bit(bus8, bus8_spec,

@@ -13,6 +13,7 @@ from gridtopo.eval_harness import ScenarioConfig, build_context, draw_panel
 from gridtopo.feeders import FEEDER_NAMES, make_feeder, random_feeder
 from gridtopo.grid_model import PHASES, assemble_admittance
 from gridtopo.synth_lab import (
+    DRAW_BLOCK,
     AnalyticCovariance,
     FeederSampler,
     InjectionSpec,
@@ -129,10 +130,16 @@ def test_generate_increments_shape_and_slack(bus8, bus8_spec):
 
 
 @pytest.mark.parametrize("slack_sigma", [0.0, 0.01])
-def test_generate_increments_prefix_stable(bus8, bus8_spec, slack_sigma):
-    short = generate_increments(bus8, bus8_spec, T=100, seed=7, slack_sigma=slack_sigma)
-    long = generate_increments(bus8, bus8_spec, T=500, seed=7, slack_sigma=slack_sigma)
-    assert np.array_equal(short.values, long.values[:100])
+@pytest.mark.parametrize("feeder, short_T, long_T", [
+    ("bus8", 100, 500), ("bus8", 7, 500), ("bus8", 25, 500), ("bus123", 241, 1441),
+])
+def test_generate_increments_prefix_stable(feeder, short_T, long_T, slack_sigma):
+    """A shorter draw is the start of the longer one, to the last bit."""
+    topo = make_feeder(feeder)
+    spec = InjectionSpec.random(topo, seed=0)
+    short = generate_increments(topo, spec, T=short_T, seed=7, slack_sigma=slack_sigma)
+    long = generate_increments(topo, spec, T=long_T, seed=7, slack_sigma=slack_sigma)
+    assert short.values.tobytes() == long.values[:short_T].tobytes()
 
 
 def test_slack_sigma_puts_noise_on_the_slack(bus8, bus8_spec):
@@ -287,9 +294,16 @@ def _reference_sampling_matrix(topo, spec):
 
 
 def _reference_increments(sampler, T, seed):
-    """FeederSampler.increments without slack, the complex block built from two temporaries."""
+    """FeederSampler.increments without slack: one product per DRAW_BLOCK rows of normals,
+    the last block padded with zero rows, and the complex block built from two temporaries."""
     D = sampler.D
-    X = np.random.default_rng(seed).standard_normal((T, 2 * D)) @ sampler.sampling_matrix.T
+    W = np.random.default_rng(seed).standard_normal((T, 2 * D))
+    X = np.empty((T, 2 * D))
+    for lo in range(0, T, DRAW_BLOCK):
+        rows = np.zeros((DRAW_BLOCK, 2 * D))
+        n = len(W[lo:lo + DRAW_BLOCK])
+        rows[:n] = W[lo:lo + DRAW_BLOCK]
+        X[lo:lo + n] = (rows @ sampler.sampling_matrix.T)[:n]
     values = np.zeros((T, int(sampler.masks.sum())), dtype=complex)
     values[:, values.shape[1] - D:] = X[:, :D] + 1j * X[:, D:]
     return values
@@ -320,7 +334,7 @@ def test_sampler_and_draws_equal_the_per_bus_construction_bit_for_bit(small_rand
             sampler = FeederSampler(topo, spec)
             want = _reference_sampling_matrix(topo, spec)
             assert sampler.sampling_matrix.tobytes() == want.tobytes()
-            for T in (1, 7, 240):
+            for T in (1, 7, 240, 600):
                 inc = sampler.increments(T, seed=T)
                 assert inc.values.tobytes() == _reference_increments(sampler, T, T).tobytes()
                 for panel in (inc, to_magnitude(inc)):
