@@ -22,6 +22,7 @@ import numpy as np
 
 from .feeders import make_feeder
 from .grid_model import write_csv
+from .info_core import FRAMES, SOURCES
 from .phase_id import assign_phases, assignment_accuracy
 from .synth_lab import (FeederSampler, InjectionSpec, NoiseSpec, apply_noise,
                         corrupt_labels, integrate_voltages)
@@ -122,7 +123,17 @@ class ScenarioConfig:
              "'uniform' or 'gaussian'"),
             ("label_fraction", 0.0 <= self.label_fraction <= 1.0, "in [0, 1]"),
             ("gain_tol", math.isfinite(self.gain_tol), "finite"),
-            ("der_scale", self.der_scale > 0.0, "positive"),
+            ("der_scale", math.isfinite(self.der_scale) and self.der_scale > 0.0,
+             "finite and positive"),
+            ("base_sigma", math.isfinite(self.base_sigma) and self.base_sigma > 0.0,
+             "finite and positive"),
+            ("slack_sigma", math.isfinite(self.slack_sigma) and self.slack_sigma >= 0.0,
+             "finite and non-negative"),
+            ("frame", self.frame in FRAMES, f"one of {FRAMES}"),
+            ("source", self.source in SOURCES, f"one of {SOURCES}"),
+            ("ridge", math.isfinite(self.ridge) and self.ridge >= 0.0,
+             "finite and non-negative"),
+            ("max_chords", self.max_chords in (0, 1), "0 or 1"),
             ("der_fraction", 0.0 < self.der_fraction <= 1.0, "in (0, 1]"),
             ("resolution_stride", self.resolution_stride >= 1, "at least 1"),
         )
@@ -152,6 +163,9 @@ class ScenarioContext:
 def build_context(config, topology=None):
     topo = topology if topology is not None else make_feeder(
         config.feeder, z_base_ohm=config.z_base_ohm)
+    if config.declared_root is not None and config.declared_root not in topo.non_slack_ids:
+        raise EvalError(f"declared_root must be a non-slack bus of the feeder "
+                        f"(1 to {topo.n_buses - 1}), got {config.declared_root!r}")
     spec = InjectionSpec.random(
         topo, seed=config.injection_seed, base_sigma=config.base_sigma,
         reactive_ratio=config.reactive_ratio,

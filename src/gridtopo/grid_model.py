@@ -444,7 +444,51 @@ def topology_to_csv(topology, path_or_buf):
         for br in topology.branches))
 
 
-def _parse_float(text, col, line_no):
+def branch_rows(data, error, columns):
+    """Yield (line_no, parent, child, is_chord, fields) for each branch row.
+
+    The one reader of the branch table that topology and estimate files
+    share. data is UTF-8 bytes, columns the header names the caller
+    needs (parent_id and child_id among them), and fields maps each
+    header name to the row's raw text. A
+    fault becomes error(message, line_no): a required column the header
+    lacks (line 1), a row shorter than the header, an id that is not a
+    non-negative integer, a self-loop, a bus pair seen on an earlier
+    row, or a chord flag outside CHORD_FLAGS.
+    """
+    rows = csv_rows(data, error)
+    header = [h.strip() for h in next(rows, (1, []))[1]]
+    for col in columns:
+        if col not in header:
+            raise error(f"missing required column {col!r}", 1)
+    seen = set()
+    for line_no, row in rows:
+        if len(row) < len(header):
+            raise error(f"expected {len(header)} fields, got {len(row)}", line_no)
+        fields = dict(zip(header, row))
+        try:
+            parent, child = int(fields["parent_id"]), int(fields["child_id"])
+        except ValueError:
+            raise error("bus ids must be integers", line_no) from None
+        pair = (min(parent, child), max(parent, child))
+        if pair[0] < 0:
+            raise error(f"bus ids must be non-negative, got {pair[0]}", line_no)
+        if parent == child:
+            raise error(f"self-loop at bus {parent}", line_no)
+        if pair in seen:
+            raise error(f"duplicate branch {pair}", line_no)
+        seen.add(pair)
+        flag = fields.get("chord", "").strip()
+        if flag not in CHORD_FLAGS:
+            raise error(f"bad chord flag {flag!r}", line_no)
+        yield line_no, parent, child, CHORD_FLAGS[flag], fields
+
+
+def _parse_float(fields, col, line_no, blank=None):
+    """fields[col] as a finite float; a blank field reads as blank when that is given."""
+    text = fields[col]
+    if blank is not None and not text.strip():
+        return blank
     try:
         value = float(text)
     except ValueError:
@@ -456,64 +500,24 @@ def _parse_float(text, col, line_no):
 
 def topology_from_csv(path_or_buf, z_base_ohm=10.0, name=""):
     """Read a topology CSV; the buses follow from the branch rows."""
-    rows = csv_rows(read_bytes(path_or_buf), TopologyFormatError)
-    _, header = next(rows, (1, None))
-    if header is None:
-        raise TopologyFormatError("empty topology file", 1)
-    header = [h.strip() for h in header]
-    for col in TOPOLOGY_COLUMNS:
-        if col not in header:
-            raise TopologyFormatError(f"missing required column {col!r}", 1)
-    pos = {h: i for i, h in enumerate(header)}
-    has_chord = "chord" in pos
-
     branches = []
-    seen = set()
-    for line_no, row in rows:
-        if len(row) < len(header):
-            raise TopologyFormatError(
-                f"expected {len(header)} fields, got {len(row)}", line_no
-            )
-        try:
-            parent = int(row[pos["parent_id"]])
-            child = int(row[pos["child_id"]])
-        except ValueError:
-            raise TopologyFormatError("bus ids must be integers", line_no)
-        if min(parent, child) < 0:
-            raise TopologyFormatError(
-                f"bus ids must be non-negative, got {min(parent, child)}", line_no)
-        if parent == child:
-            raise TopologyFormatError(f"self-loop at bus {parent}", line_no)
-        phases = row[pos["phases"]].strip().lower()
+    for line_no, parent, child, is_chord, fields in branch_rows(
+            read_bytes(path_or_buf), TopologyFormatError, TOPOLOGY_COLUMNS):
+        phases = fields["phases"].strip().lower()
         if not phases or any(p not in "abc" for p in phases) or len(set(phases)) != len(phases):
             raise TopologyFormatError(f"bad phases field {phases!r}", line_no)
-        mask = PhaseMask.from_string(phases)
-        length = _parse_float(row[pos["length_miles"]], "length_miles", line_no)
-        r = _parse_float(row[pos["r_per_mile"]], "r_per_mile", line_no)
-        h_self = tuple(
-            _parse_float(row[pos[f"h_self_{p}"]], f"h_self_{p}", line_no) if p in phases else
-            (DEFAULT_H_SELF if not row[pos[f"h_self_{p}"]].strip() else
-             _parse_float(row[pos[f"h_self_{p}"]], f"h_self_{p}", line_no))
-            for p in PHASES
-        )
-        h_mut = tuple(
-            DEFAULT_H_MUT if not row[pos[f"h_mut_{pair}"]].strip() else
-            _parse_float(row[pos[f"h_mut_{pair}"]], f"h_mut_{pair}", line_no)
-            for pair in ("ab", "bc", "ac")
-        )
-        flag = row[pos["chord"]].strip() if has_chord else ""
-        if flag not in CHORD_FLAGS:
-            raise TopologyFormatError(f"bad chord flag {flag!r}", line_no)
+        length = _parse_float(fields, "length_miles", line_no)
+        r = _parse_float(fields, "r_per_mile", line_no)
+        h_self = tuple(_parse_float(fields, f"h_self_{p}", line_no,
+                                    None if p in phases else DEFAULT_H_SELF) for p in PHASES)
+        h_mut = tuple(_parse_float(fields, f"h_mut_{pair}", line_no, DEFAULT_H_MUT)
+                      for pair in ("ab", "bc", "ac"))
         try:
             line = LineModel(r_per_mile=r, h_self=h_self, h_mut=h_mut)
-            br = Branch(parent=parent, child=child, mask=mask, line=line,
-                        length_miles=length, is_chord=CHORD_FLAGS[flag])
+            branches.append(Branch(parent=parent, child=child, mask=PhaseMask.from_string(phases),
+                                   line=line, length_miles=length, is_chord=is_chord))
         except GridModelError as exc:
             raise TopologyFormatError(str(exc), line_no)
-        if br.key() in seen:
-            raise TopologyFormatError(f"duplicate branch {br.key()}", line_no)
-        seen.add(br.key())
-        branches.append(br)
 
     try:
         return GridTopology(branches, z_base_ohm=z_base_ohm, name=name)

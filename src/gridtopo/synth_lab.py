@@ -79,6 +79,8 @@ class InjectionSpec:
         a common correlation phase_corr. Cross-phase covariance carries
         the nominal 120 degree rotations.
         """
+        if not (math.isfinite(base_sigma) and base_sigma > 0.0):
+            raise SynthError(f"base_sigma must be a finite positive number, got {base_sigma!r}")
         rng = np.random.default_rng(seed)
         n = topology.n_buses
         cov = np.zeros((n, 3, 3), dtype=complex)
@@ -362,6 +364,9 @@ class FeederSampler:
         """
         if T < 1:
             raise SynthError("need at least one increment sample")
+        if not (math.isfinite(slack_sigma) and slack_sigma >= 0.0):
+            raise SynthError(
+                f"slack_sigma must be a finite non-negative number, got {slack_sigma!r}")
         if rng is None:
             rng = np.random.default_rng(self.spec.seed if seed is None else seed)
         D = self.D

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_model import CHORD_FLAGS, TOPOLOGY_COLUMNS, csv_rows, read_bytes, write_csv
+from .grid_model import TOPOLOGY_COLUMNS, branch_rows, read_bytes, write_csv
 from .info_core import PanelStatistics, difference
 
 
@@ -225,61 +225,34 @@ def estimate_from_csv(path):
     """Read back an estimate written by EdgeSetEstimate.to_csv.
 
     Only the connectivity columns are used; admittance fields stay
-    blank in estimate files. A row with parent 0 becomes the root edge;
-    a second such row, or a repeated bus pair, is refused.
+    blank in estimate files. Rows follow grid_model.branch_rows' rules.
+    A row with parent 0 becomes the root edge; a second one is refused.
     """
     def error(message, line_no):
         return TopologyEstimateError(f"{path}: line {line_no}: {message}")
 
-    rows = list(csv_rows(read_bytes(path), error))
-    if len(rows) < 2:
-        raise TopologyEstimateError(f"{path}: no edges")
-    header = [h.strip() for h in rows[0][1]]
-    for need in ("parent_id", "child_id"):
-        if need not in header:
-            raise TopologyEstimateError(f"{path}: missing column {need}")
-    edges = []
-    chords = []
-    weights = {}
-    root_edge = None
-    buses = set()
-    seen = set()
-    for line_no, fields in rows[1:]:
-        row = dict(zip(header, fields))
-        try:
-            a = int(row.get("parent_id"))
-            b = int(row.get("child_id"))
-        except (TypeError, ValueError):
-            raise error("parent_id and child_id must be integers", line_no)
-        pair = tuple(sorted((a, b)))
-        if pair[0] < 0:
-            raise error(f"bus ids must be non-negative, got {pair[0]}", line_no)
-        if a == b:
-            raise error(f"self-loop at bus {a}", line_no)
-        if pair in seen:
-            raise error(f"repeated edge {pair}", line_no)
-        if 0 in pair and root_edge is not None:
+    edges, chords, weights = [], [], {}
+    buses, root_edge = set(), None
+    for line_no, a, b, is_chord, fields in branch_rows(read_bytes(path), error,
+                                                        ("parent_id", "child_id")):
+        pair = (min(a, b), max(a, b))
+        if pair[0] == 0 and root_edge is not None:
             raise error(f"second substation edge {pair}, the root is already {root_edge}",
                         line_no)
-        seen.add(pair)
-        w = row.get("mi_nats", "")
+        w = fields.get("mi_nats", "")
         if w:
             try:
                 weights[pair] = float(w)
             except ValueError:
                 raise error(f"cannot parse mi_nats {w!r}", line_no)
-        flag = row.get("chord", "").strip()
-        if flag not in CHORD_FLAGS:
-            raise error(f"bad chord flag {flag!r}", line_no)
-        if 0 in pair:
+        if pair[0] == 0:
             root_edge = pair
-            buses.add(max(pair))
-            continue
-        buses.update(pair)
-        if CHORD_FLAGS[flag]:
-            chords.append(pair)
+            buses.add(pair[1])
         else:
-            edges.append(pair)
+            buses.update(pair)
+            (chords if is_chord else edges).append(pair)
+    if not buses:
+        raise TopologyEstimateError(f"{path}: no edges")
     try:
         est = EdgeSetEstimate(bus_ids=tuple(sorted(buses)), edges=tuple(edges),
                               weights=weights, chords=tuple(chords))

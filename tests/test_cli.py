@@ -429,6 +429,15 @@ def test_evaluate_bad_run_size_exits_two(tmp_path, capsys, flags):
     ("sweep", "--label-corruption", "-0.5", "label_fraction"),
     ("evaluate", "--gain-tol", "nan", "gain_tol"),
     ("sweep", "--gain-tol", "nan", "gain_tol"),
+    ("simulate", "--base-sigma", "-0.004", "base_sigma"),
+    ("simulate", "--base-sigma", "0", "base_sigma"),
+    ("simulate", "--base-sigma", "nan", "base_sigma"),
+    ("simulate", "--slack-sigma", "-0.01", "slack_sigma"),
+    ("simulate", "--slack-sigma", "nan", "slack_sigma"),
+    ("evaluate", "--der-scale", "inf", "der_scale"),
+    ("evaluate", "--ridge", "-1", "ridge"),
+    ("evaluate", "--root", "99", "declared_root"),
+    ("sweep", "--root", "0", "declared_root"),
 ])
 def test_bad_generation_input_exits_two_naming_the_field(tmp_path, capsys, command,
                                                          flag, value, field):
@@ -497,6 +506,7 @@ def test_sweep_rejects_garbled_values(tmp_path, capsys):
     pytest.param("1,2,0.5\n2,1,0.5\n", 3, id="repeated-pair"),
     pytest.param("1,2,0.5\n1,-3,0.5\n", 3, id="negative-bus-id"),
     pytest.param("1,2,0.5\n3,3,0.5\n", 3, id="self-loop"),
+    pytest.param("1,2,0.5\n2,3\n", 3, id="short-row"),
 ])
 def test_identify_phases_bad_topology_row_names_line(tmp_path, capsys, rows, line):
     prefix = _simulate(tmp_path, samples=50)

@@ -166,12 +166,29 @@ def test_zero_threads_rejected():
     ("resolution_stride", 0),
     ("gain_tol", np.nan),
     ("gain_tol", -np.inf),
+    ("der_scale", np.inf),
+    ("base_sigma", -0.004),
+    ("base_sigma", 0.0),
+    ("base_sigma", np.nan),
+    ("slack_sigma", -0.01),
+    ("slack_sigma", np.nan),
+    ("frame", "seq"),
+    ("source", "magnitud"),
+    ("ridge", -1.0),
+    ("ridge", np.inf),
+    ("max_chords", 2),
 ])
 def test_config_rejects_bad_generation_input(field, value):
     with pytest.raises(EvalError, match=field):
         ScenarioConfig(feeder="bus8", **{field: value})
     with pytest.raises(EvalError, match=field):
         ScenarioConfig(feeder="bus8").replaced(**{field: value})
+
+
+@pytest.mark.parametrize("root", [0, 8, 99, -1])
+def test_build_context_refuses_a_declared_root_off_the_feeder(root):
+    with pytest.raises(EvalError, match="declared_root must be a non-slack bus"):
+        build_context(ScenarioConfig(feeder="bus8", n_samples=200, declared_root=root))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -429,7 +429,7 @@ def test_topology_csv_graph_errors_are_format_errors(bus8, edit, message):
                  "t and bus_id must be integers", id="measurements"),
     pytest.param(estimate_from_csv, TopologyEstimateError,
                  'parent_id,child_id,mi_nats\n1,2,"0.5\n"\nx,3,0.1\n',
-                 "parent_id and child_id must be integers", id="estimate"),
+                 "bus ids must be integers", id="estimate"),
 ])
 def test_csv_errors_name_the_physical_line_after_a_multiline_field(
         tmp_path, read, error, text, message):
@@ -456,6 +456,30 @@ def test_csv_readers_name_the_line_of_an_undecodable_byte(tmp_path, read, error,
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(error, match="line 3: byte 0xff is not UTF-8"):
         read(path)
+
+
+# One branch table that both readers accept up to its fourth line.
+_BRANCH_TABLE = ",".join(TOPOLOGY_COLUMNS) + ",chord\n0,1,abc,0.5,1.0,8,8,8,5,5,5,0\n" \
+    "1,2,abc,0.5,1.0,8,8,8,5,5,5,0\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param("x,3,abc,0.5,1.0,8,8,8,5,5,5,0", "bus ids must be integers", id="non-integer"),
+    pytest.param("2,-3,abc,0.5,1.0,8,8,8,5,5,5,0", "bus ids must be non-negative, got -3",
+                 id="negative"),
+    pytest.param("3,3,abc,0.5,1.0,8,8,8,5,5,5,0", "self-loop at bus 3", id="self-loop"),
+    pytest.param("2,1,abc,0.5,1.0,8,8,8,5,5,5,0", "duplicate branch (1, 2)", id="repeated-pair"),
+    pytest.param("2,3,abc,0.5,1.0,8,8,8,5,5,5,yes", "bad chord flag 'yes'", id="chord-flag"),
+    pytest.param("2,3,abc", "expected 12 fields, got 3", id="short-row"),
+])
+def test_topology_and_estimate_readers_refuse_a_bad_branch_row_alike(tmp_path, row, message):
+    path = tmp_path / "branches.csv"
+    path.write_text(_BRANCH_TABLE + row + "\n")
+    for read, error in ((topology_from_csv, TopologyFormatError),
+                        (estimate_from_csv, TopologyEstimateError)):
+        with pytest.raises(error) as info:
+            read(path)
+        assert str(info.value).endswith(f"line 4: {message}")
 
 
 def test_catalogue_names():

@@ -57,6 +57,19 @@ def test_injection_respects_masks(bus8, bus8_spec):
         assert bus8_spec.present_slots(b.id) == b.mask.indices
 
 
+@pytest.mark.parametrize("base_sigma", [-0.004, 0.0, np.nan, np.inf])
+def test_injection_spec_refuses_a_base_sigma_that_is_not_finite_and_positive(bus8, base_sigma):
+    with pytest.raises(SynthError, match="base_sigma must be a finite positive number"):
+        InjectionSpec.random(bus8, seed=11, base_sigma=base_sigma)
+
+
+@pytest.mark.parametrize("slack_sigma", [-0.01, np.nan, np.inf])
+def test_increments_refuse_a_slack_sigma_that_is_not_finite_and_non_negative(
+        bus8, bus8_spec, slack_sigma):
+    with pytest.raises(SynthError, match="slack_sigma must be a finite non-negative number"):
+        generate_increments(bus8, bus8_spec, T=8, seed=1, slack_sigma=slack_sigma)
+
+
 def test_injection_scale_clamped(bus8):
     base = 0.004
     spec = InjectionSpec.random(bus8, seed=11, base_sigma=base, bus_spread=5.0)
