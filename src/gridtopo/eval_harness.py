@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import math
 import numbers
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -46,8 +48,18 @@ SWEEP_AXES = {
     "resolution": "resolution_stride",
 }
 
-# ScenarioConfig fields that count something and must be integers
-_INTEGER_FIELDS = ("n_samples", "resolution_stride")
+# ScenarioConfig fields that must be integers
+_INTEGER_FIELDS = ("n_samples", "resolution_stride", "injection_seed")
+
+# ScenarioConfig fields that define the feeder model a context samples,
+# in the argument order of _feeder_model
+_MODEL_FIELDS = ("feeder", "z_base_ohm", "injection_seed", "base_sigma", "reactive_ratio",
+                 "der_scale", "der_fraction")
+
+
+def _check_seed(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise EvalError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _norm_edges(edges):
@@ -136,6 +148,7 @@ class ScenarioConfig:
             ("max_chords", self.max_chords in (0, 1), "0 or 1"),
             ("der_fraction", 0.0 < self.der_fraction <= 1.0, "in (0, 1]"),
             ("resolution_stride", self.resolution_stride >= 1, "at least 1"),
+            ("injection_seed", self.injection_seed >= 0, "non-negative"),
         )
         for name, ok, want in checks:
             if not ok:
@@ -160,27 +173,60 @@ class ScenarioContext:
     feeder_head: int
 
 
+def _sampler(topo, injection_seed, base_sigma, reactive_ratio, der_scale, der_fraction):
+    """The FeederSampler of a feeder under a scenario's injection model."""
+    spec = InjectionSpec.random(topo, seed=injection_seed, base_sigma=base_sigma,
+                                reactive_ratio=reactive_ratio)
+    if der_scale != 1.0:
+        m = topo.n_buses - 1
+        k = max(1, round(der_fraction * m))
+        rng = np.random.default_rng(injection_seed + _DER_SEED_OFFSET)
+        chosen = sorted(rng.choice(np.arange(1, topo.n_buses), size=k, replace=False).tolist())
+        spec = spec.scaled(chosen, der_scale)
+    return FeederSampler(topo, spec)
+
+
+# held while a model is looked up, so that concurrent first uses of a
+# scenario build its model once
+_MODEL_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=8)
+def _feeder_model(feeder, z_base_ohm, *injection):
+    """The sampler of a catalogue feeder under an injection model.
+
+    Built once per process for each value of _MODEL_FIELDS and shared
+    by every context of those values, so its arrays are made read-only.
+    """
+    sampler = _sampler(make_feeder(feeder, z_base_ohm=z_base_ohm), *injection)
+    arrays = [sampler.masks, sampler.sampling_matrix, sampler.spec.covariances]
+    arrays += [br.y_block for br in sampler.topology.branches]
+    for a in arrays:
+        a.flags.writeable = False
+    return sampler
+
+
 def build_context(config, topology=None):
-    topo = topology if topology is not None else make_feeder(
-        config.feeder, z_base_ohm=config.z_base_ohm)
+    """The context of a scenario: its feeder, injection model and sampler.
+
+    The model of a catalogue feeder comes from a process-wide cache
+    keyed by the config's _MODEL_FIELDS, so repeated calls on one
+    scenario build it once. An explicit topology is built afresh.
+    """
+    model = [getattr(config, name) for name in _MODEL_FIELDS]
+    if topology is None:
+        with _MODEL_LOCK:
+            sampler = _feeder_model(*model)
+    else:
+        sampler = _sampler(topology, *model[2:])
+    topo = sampler.topology
     if config.declared_root is not None and config.declared_root not in topo.non_slack_ids:
         raise EvalError(f"declared_root must be a non-slack bus of the feeder "
                         f"(1 to {topo.n_buses - 1}), got {config.declared_root!r}")
-    spec = InjectionSpec.random(
-        topo, seed=config.injection_seed, base_sigma=config.base_sigma,
-        reactive_ratio=config.reactive_ratio,
-    )
-    if config.der_scale != 1.0:
-        m = topo.n_buses - 1
-        k = max(1, round(config.der_fraction * m))
-        rng = np.random.default_rng(config.injection_seed + _DER_SEED_OFFSET)
-        chosen = sorted(rng.choice(np.arange(1, topo.n_buses), size=k, replace=False).tolist())
-        spec = spec.scaled(chosen, config.der_scale)
-    sampler = FeederSampler(topo, spec)
     true_edges = frozenset(topo.edge_set(include_root=False, include_chords=True))
     heads = topo.children_of(0)
     return ScenarioContext(
-        config=config, topology=topo, spec=spec, sampler=sampler,
+        config=config, topology=topo, spec=sampler.spec, sampler=sampler,
         true_edges=true_edges, feeder_head=min(heads),
     )
 
@@ -215,6 +261,7 @@ def _measure(ctx, record, seed):
 def draw_panel(ctx, seed):
     """One draw of the scenario's measured voltage panel: the clean
     record of n_samples snapshots under seed, measured."""
+    _check_seed("seed", seed)
     return _measure(ctx, _clean_record(ctx, seed, ctx.config.n_samples), seed)
 
 
@@ -354,6 +401,7 @@ def _evaluate(points, replicates, base_seed, threads, axis, values, t0):
         raise EvalError("need at least one replicate")
     if threads < 1:
         raise EvalError(f"threads must be at least 1, got {threads}")
+    _check_seed("base_seed", base_seed)
     seeds = [base_seed ^ r for r in range(replicates)]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(_replicate_points, itertools.repeat(points), seeds,

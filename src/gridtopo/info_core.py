@@ -210,11 +210,14 @@ class PanelStatistics:
     is that of the phase-frame features whatever the frame; frame only
     labels the results (see the module docstring).
     Every mutual-information query then reduces to log-determinants of
-    principal submatrices, all taken by one batched primitive
-    (_logdets). The all-pairs matrix batches its pairs per joint
+    principal submatrices, all taken by one batched elimination
+    (_logdets, see _block_logdets) that holds no interpreter lock while
+    it computes. The all-pairs matrix batches its pairs per joint
     dimension, gathering them by a plan built once per feature layout
-    (_pair_plan), and each bus's own log-determinant is computed once
-    and shared by the matrix and every later group_mi query.
+    (_pair_plan). Every other block's log-determinant is kept by its bus
+    tuple once computed, so each bus's own value is shared by the matrix
+    and every later query, and group_mis takes the blocks of many
+    queries in one batch per joint dimension.
 
     The substation (bus 0) joins the column range only when its own
     block carries a usable signal (see _slack_has_signal); otherwise
@@ -282,7 +285,7 @@ class PanelStatistics:
         self.cov = cov
         self.slices = slices
         self.bus_ids = bus_ids
-        self._marginal = {}
+        self._blocks = {}
         self._mi = None
 
     def require_samples(self, dims):
@@ -295,28 +298,31 @@ class PanelStatistics:
     def _logdets(self, flat):
         """log|det| of principal blocks of cov, as (ld, ok).
 
-        flat is an (n, d, d) array of flat positions in cov, one block
-        each (see _flat_positions), gathered in one take. ok[n] is False
-        where block n's determinant is not positive and finite; every
-        mutual information in this module is a difference of these.
+        flat is a (d, d, n) array of flat positions in cov, block n in
+        flat[:, :, n] (see _flat_positions), gathered in one take and
+        eliminated by _block_logdets. ok[n] is False where block n is
+        not positive definite; every mutual information in this module
+        is a difference of these.
         """
-        sign, ld = np.linalg.slogdet(np.take(self.cov, flat))
-        return ld, (sign > 0) & np.isfinite(ld)
+        return _block_logdets(np.take(self.cov, flat))
+
+    def _block_flat(self, buses):
+        """Flat positions of the joint block of buses, in the order given, as (d, d, 1)."""
+        idx = np.array([[j for b in buses for j in self.slices[b]]], dtype=np.intp)
+        return _flat_positions(idx, self.dim)
 
     def _logdet(self, buses):
         """log|det| of the joint block of buses, in the order given.
 
-        A single bus's value is computed once and cached.
+        Each block's value is computed once and kept by its bus tuple.
         """
-        if len(buses) == 1 and buses[0] in self._marginal:
-            return self._marginal[buses[0]]
-        idx = np.array([[j for b in buses for j in self.slices[b]]], dtype=np.intp)
-        ld, ok = self._logdets(_flat_positions(idx, self.dim))
-        if not ok[0]:
-            raise SingularCovarianceError(f"singular covariance for buses {list(buses)}")
-        if len(buses) == 1:
-            self._marginal[buses[0]] = float(ld[0])
-        return float(ld[0])
+        key = tuple(buses)
+        if key not in self._blocks:
+            ld, ok = self._logdets(self._block_flat(key))
+            if not ok[0]:
+                raise SingularCovarianceError(f"singular covariance for buses {list(buses)}")
+            self._blocks[key] = float(ld[0])
+        return self._blocks[key]
 
     def group_mi(self, buses_a, buses_b):
         """I(block A; block B) between unions of bus features, nats."""
@@ -327,6 +333,27 @@ class PanelStatistics:
         self.require_samples(len(ia) + len(ib))
         joint = list(buses_a) + list(buses_b)
         return 0.5 * (self._logdet(buses_a) + self._logdet(buses_b) - self._logdet(joint))
+
+    def group_mis(self, queries):
+        """group_mi(buses_a, buses_b) of each query, in order.
+
+        The blocks of all queries that are not kept yet are taken
+        first, one _logdets call per joint dimension, so the values are
+        those of one group_mi call per query, to the last bit. A block
+        that is not positive definite is not kept, so the group_mi
+        call that needs it raises, as it would alone.
+        """
+        queries = [(list(a), list(b)) for a, b in queries]
+        by_dim = {}
+        for key in dict.fromkeys(tuple(x) for a, b in queries for x in (a, b, a + b)):
+            if key not in self._blocks:
+                flat = self._block_flat(key)
+                by_dim.setdefault(flat.shape[0], []).append((key, flat))
+        for group in by_dim.values():
+            ld, ok = self._logdets(np.concatenate([flat for _, flat in group], axis=2))
+            self._blocks.update((key, v) for (key, _), v, good
+                                in zip(group, ld.tolist(), ok.tolist()) if good)
+        return [self.group_mi(a, b) for a, b in queries]
 
     def pair_mi(self, bus_i, bus_k):
         return self.group_mi([bus_i], [bus_k])
@@ -356,7 +383,7 @@ class PanelStatistics:
         if not good.all():
             bad = buses[int(np.flatnonzero(~good)[0])]
             raise SingularCovarianceError(f"singular covariance for buses {[bad]}")
-        self._marginal.update(zip(buses, marg.tolist()))
+        self._blocks.update(((b,), v) for b, v in zip(buses, marg.tolist()))
         values = np.zeros((M, M))
         failures = []
         # one batched determinant per joint dimension
@@ -381,7 +408,8 @@ class PanelStatistics:
         """
         if 0 not in self.slices or len(self.bus_ids) < 2:
             return None
-        out = {b: self.pair_mi(0, b) for b in self.bus_ids if b != 0}
+        others = [b for b in self.bus_ids if b != 0]
+        out = dict(zip(others, self.group_mis(([0], [b]) for b in others)))
         d0 = len(self.slices[0])
         alpha = significance / len(out)
         for b, v in out.items():
@@ -392,8 +420,37 @@ class PanelStatistics:
 
 
 def _flat_positions(idx, dim):
-    """Flat positions in a (dim, dim) matrix of the principal blocks idx[n]."""
-    return idx[:, :, None] * dim + idx[:, None, :]
+    """Flat positions in a (dim, dim) matrix of the principal blocks
+    idx[n], batch last: block n is [:, :, n] of the (d, d, n) result."""
+    cols = idx.T
+    return cols[:, None, :] * dim + cols[None, :, :]
+
+
+def _block_logdets(A):
+    """log|det| of each (d, d) block A[:, :, n], as (ld, ok); A is overwritten.
+
+    Gaussian elimination without pivoting, run on all blocks at once in
+    elementwise numpy, which releases the interpreter lock, where a
+    batched LAPACK determinant holds it for the whole batch. log|det|
+    is the sum of the log pivots, added one pivot at a time; ok[n] is
+    True when every pivot of block n is positive and the sum is finite,
+    which for a symmetric block means positive definite. Without
+    pivoting, elimination of a positive definite block is as stable as
+    its Cholesky factorisation. No step mixes blocks, so a block's
+    bits do not depend on the batch it is taken in.
+    """
+    d, _, n = A.shape
+    ld = np.zeros(n)
+    ok = np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(d):
+            pivot = A[k, k]
+            ok &= pivot > 0.0
+            ld += np.log(pivot)
+            if k + 1 < d:
+                row = A[k, k + 1:] / pivot
+                A[k + 1:, k + 1:] -= A[k + 1:, k, None] * row[None]
+    return ld, ok & np.isfinite(ld)
 
 
 # held while a plan is looked up, so that concurrent first uses of a
@@ -411,7 +468,8 @@ def _pair_plan(widths, base):
     panel of a feeder and source shares one. singles lists (bus
     indices, flat block positions) per bus width; pairs lists (ii, kk,
     flat block positions) per joint width, ii < kk, where each pair's
-    joint block lists bus ii's features, then bus kk's.
+    joint block lists bus ii's features, then bus kk's. Flat positions
+    are batch last, as _logdets takes them.
     """
     dims = np.array(widths, dtype=np.intp)
     dim = base + int(dims.sum())

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,8 +226,10 @@ def estimate_from_csv(path):
     """Read back an estimate written by EdgeSetEstimate.to_csv.
 
     Only the connectivity columns are used; admittance fields stay
-    blank in estimate files. Rows follow grid_model.branch_rows' rules.
-    A row with parent 0 becomes the root edge; a second one is refused.
+    blank in estimate files. Rows follow grid_model.branch_rows' rules,
+    and an mi_nats field, when filled, must be a finite non-negative
+    number. A row with parent 0 becomes the root edge; a second one is
+    refused.
     """
     def error(message, line_no):
         return TopologyEstimateError(f"{path}: line {line_no}: {message}")
@@ -245,6 +248,8 @@ def estimate_from_csv(path):
                 weights[pair] = float(w)
             except ValueError:
                 raise error(f"cannot parse mi_nats {w!r}", line_no)
+            if not (math.isfinite(weights[pair]) and weights[pair] >= 0.0):
+                raise error(f"mi_nats {w!r} is not a finite non-negative number", line_no)
         if pair[0] == 0:
             root_edge = pair
             buses.add(pair[1])
@@ -381,9 +386,17 @@ def weak_mesh_search(mi, joint_mi_provider, max_chords=1, gain_tol=0.01):
     remaining buses, and the best one replaces the plain tree only if
     it gains more than gain_tol nats (a guard against estimation noise
     buying a spurious loop). joint_mi_provider(m, (p, q)) returns the
-    three-block joint MI in nats. See mesh_candidates for which
-    hypotheses are considered.
+    three-block joint MI in nats, one candidate per call. See
+    mesh_candidates for which hypotheses are considered.
     """
+    return _mesh_search(mi, lambda cands: [joint_mi_provider(m, pair)
+                                           for m, pair, _, _ in cands],
+                        max_chords, gain_tol)
+
+
+def _mesh_search(mi, joint_mis, max_chords, gain_tol):
+    """weak_mesh_search with every candidate's joint MI from one call,
+    joint_mis(candidates), which returns them in candidate order."""
     if max_chords not in (0, 1):
         raise TopologyEstimateError("only a single chord is supported; use max_chords 0 or 1")
     if not np.isfinite(gain_tol):
@@ -396,8 +409,8 @@ def weak_mesh_search(mi, joint_mi_provider, max_chords=1, gain_tol=0.01):
     pos = {b: i for i, b in enumerate(buses)}
     _, candidates = mesh_candidates(mi, tree)
     best = None
-    for m, (p, q), rest, rest_weight in candidates:
-        score = joint_mi_provider(m, (p, q)) + rest_weight
+    for (m, (p, q), rest, rest_weight), joint in zip(candidates, joint_mis(candidates)):
+        score = joint + rest_weight
         key = (-score, m, p, q)
         if best is None or key < best[0]:
             best = (key, m, (p, q), rest, score)
@@ -421,15 +434,15 @@ def recover(stats, mesh=False, max_chords=1, gain_tol=0.01, declared_root=None):
     """Rooted estimate from one PanelStatistics.
 
     Runs the spanning tree over stats.mi_matrix() (or, with mesh, the
-    single-chord search scored by stats.group_mi), then attaches the
-    root by the substation test on the same statistics, falling back
-    to declared_root.
+    single-chord search, every candidate scored by one
+    stats.group_mis batch), then attaches the root by the substation
+    test on the same statistics, falling back to declared_root.
     """
     mi = stats.mi_matrix()
     if mesh:
-        provider = lambda m, pair: stats.group_mi([m], list(pair))
-        estimate = weak_mesh_search(mi, provider, max_chords=max_chords,
-                                    gain_tol=gain_tol)
+        estimate = _mesh_search(
+            mi, lambda cands: stats.group_mis(([m], list(pair)) for m, pair, _, _ in cands),
+            max_chords, gain_tol)
     else:
         estimate = max_weight_spanning_tree(mi)
     return attach_root(estimate, substation_mi=stats.substation_mi(),

@@ -76,6 +76,35 @@ def dense_mi(C, pos):
     return out
 
 
+def eliminated_logdet(M):
+    """log|det| of one block by plain Gaussian elimination without pivoting.
+
+    The reference for info_core._block_logdets: the same operations on
+    one (d, d) block, one pivot at a time, so it equals the batched
+    kernel bit for bit. np.log, not math.log, since the two can differ
+    in the last bit.
+    """
+    A = np.array(M, dtype=float)
+    ld = 0.0
+    for k in range(A.shape[0]):
+        ld += np.log(A[k, k])
+        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:] / A[k, k])
+    return ld
+
+
+def record_logdets(stats, monkeypatch):
+    """The joint dimension of every _logdets call stats makes from now on."""
+    widths = []
+    logdets = stats._logdets
+
+    def recording(flat):
+        widths.append(flat.shape[0])
+        return logdets(flat)
+
+    monkeypatch.setattr(stats, "_logdets", recording)
+    return widths
+
+
 def is_spanning_tree(edges, bus_ids):
     """len(bus_ids) - 1 edges over bus_ids that reach every bus from the first."""
     adj = {b: [] for b in bus_ids}

@@ -438,6 +438,11 @@ def test_evaluate_bad_run_size_exits_two(tmp_path, capsys, flags):
     ("evaluate", "--ridge", "-1", "ridge"),
     ("evaluate", "--root", "99", "declared_root"),
     ("sweep", "--root", "0", "declared_root"),
+    ("simulate", "--injection-seed", "-1", "injection_seed"),
+    ("evaluate", "--injection-seed", "-1", "injection_seed"),
+    ("simulate", "--seed", "-1", "seed must be a non-negative integer, got -1"),
+    ("evaluate", "--seed", "-1", "base_seed"),
+    ("sweep", "--seed", "-3", "base_seed"),
 ])
 def test_bad_generation_input_exits_two_naming_the_field(tmp_path, capsys, command,
                                                          flag, value, field):

@@ -1,10 +1,12 @@
+import concurrent.futures
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from gridtopo import info_core
+from gridtopo import eval_harness, info_core
 from gridtopo.eval_harness import (
     SWEEP_AXES,
     EvalError,
@@ -19,6 +21,7 @@ from gridtopo.eval_harness import (
     sweep,
     write_sweep_csv,
 )
+from gridtopo.feeders import make_feeder
 from gridtopo.synth_lab import (
     FeederSampler,
     InjectionSpec,
@@ -177,6 +180,7 @@ def test_zero_threads_rejected():
     ("ridge", -1.0),
     ("ridge", np.inf),
     ("max_chords", 2),
+    ("injection_seed", -1),
 ])
 def test_config_rejects_bad_generation_input(field, value):
     with pytest.raises(EvalError, match=field):
@@ -199,6 +203,8 @@ def test_build_context_refuses_a_declared_root_off_the_feeder(root):
     ("resolution_stride", 1.5),
     ("resolution_stride", np.float64(2.0)),
     ("resolution_stride", None),
+    ("injection_seed", 1.5),
+    ("injection_seed", None),
 ])
 def test_config_rejects_non_integer_counts(field, value):
     with pytest.raises(EvalError, match=f"{field} must be an integer"):
@@ -210,6 +216,97 @@ def test_config_rejects_non_integer_counts(field, value):
 def test_config_accepts_numpy_integer_counts():
     cfg = ScenarioConfig(feeder="bus8", n_samples=np.int64(200), resolution_stride=np.int32(2))
     assert cfg.n_samples == 200 and cfg.resolution_stride == 2
+
+
+@pytest.mark.parametrize("base_seed", [-1, -3, 1.5, True, None])
+def test_evaluation_refuses_a_bad_base_seed_before_any_draw(base_seed, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(FeederSampler, "increments", lambda *a, **kw: drawn.append(a))
+    cfg = ScenarioConfig(feeder="bus8", n_samples=200)
+    with pytest.raises(EvalError, match="base_seed must be a non-negative integer"):
+        monte_carlo(cfg, 2, base_seed=base_seed)
+    with pytest.raises(EvalError, match="base_seed must be a non-negative integer"):
+        sweep(cfg, "noise", [0.0], 2, base_seed=base_seed)
+    assert drawn == []
+
+
+def test_draw_panel_refuses_a_negative_seed():
+    with pytest.raises(EvalError, match="seed must be a non-negative integer, got -1"):
+        draw_panel(build_context(ScenarioConfig(feeder="bus8", n_samples=200)), -1)
+
+
+# -- the per-process model cache -----------------------------------------
+
+
+def test_equal_configs_share_one_sampler():
+    cfg = ScenarioConfig(feeder="bus8", n_samples=200)
+    first = build_context(cfg)
+    again = build_context(ScenarioConfig(feeder="bus8", n_samples=200))
+    other_run = build_context(cfg.replaced(n_samples=300, noise_bound=0.001, mesh=True))
+    assert first.sampler is again.sampler is other_run.sampler
+    assert first.spec is first.sampler.spec and first.topology is first.sampler.topology
+
+
+@pytest.mark.parametrize("field, value", [
+    ("feeder", "bus13"),
+    ("z_base_ohm", 12.0),
+    ("injection_seed", 1),
+    ("base_sigma", 0.005),
+    ("reactive_ratio", 0.5),
+    ("der_scale", 2.0),
+    ("der_fraction", 0.5),
+])
+def test_a_change_to_any_model_field_builds_another_sampler(field, value):
+    cfg = ScenarioConfig(feeder="bus8", n_samples=200)
+    changed = build_context(cfg.replaced(**{field: value}))
+    assert changed.sampler is not build_context(cfg).sampler
+    assert getattr(changed.config, field) == value
+
+
+def test_an_explicit_topology_builds_a_fresh_sampler():
+    cfg = ScenarioConfig(feeder="bus8", n_samples=200)
+    a = build_context(cfg, topology=make_feeder("bus8"))
+    b = build_context(cfg, topology=make_feeder("bus8"))
+    assert a.sampler is not b.sampler and a.sampler is not build_context(cfg).sampler
+    assert np.array_equal(a.sampler.sampling_matrix, build_context(cfg).sampler.sampling_matrix)
+    assert a.sampler.sampling_matrix.flags.writeable
+
+
+def test_a_cache_hit_still_refuses_a_declared_root_off_the_feeder():
+    cfg = ScenarioConfig(feeder="bus8", n_samples=200)
+    build_context(cfg)
+    hits = eval_harness._feeder_model.cache_info().hits
+    with pytest.raises(EvalError, match="declared_root must be a non-slack bus"):
+        build_context(cfg.replaced(declared_root=8))
+    assert eval_harness._feeder_model.cache_info().hits == hits + 1
+
+
+def test_cached_model_arrays_are_read_only():
+    ctx = build_context(ScenarioConfig(feeder="bus8", n_samples=200, der_scale=2.0))
+    arrays = [ctx.sampler.masks, ctx.sampler.sampling_matrix, ctx.spec.covariances]
+    arrays += [br.y_block for br in ctx.topology.branches]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
+    # draws still work, and their arrays are the caller's own
+    panel = draw_panel(ctx, 3)
+    assert panel.values.flags.writeable and panel.masks.flags.writeable
+
+
+def test_concurrent_first_uses_of_a_scenario_build_one_model():
+    cfg = ScenarioConfig(feeder="bus13", n_samples=200, injection_seed=17)
+    eval_harness._feeder_model.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(build_context, cfg) for _ in range(16)]
+            samplers = {id(f.result(timeout=60).sampler) for f in futures}
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(samplers) == 1
+    assert eval_harness._feeder_model.cache_info().misses == 1
 
 
 def test_rooted_request_builds_one_statistics(bus8, bus8_spec, monkeypatch):

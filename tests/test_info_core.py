@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import channel_coords, dense_mi, dense_reference, padded, unpadded
+from conftest import (channel_coords, dense_mi, dense_reference, eliminated_logdet, padded,
+                      record_logdets, unpadded)
 from gridtopo import info_core
 from gridtopo.feeders import FEEDER_NAMES, make_feeder, random_feeder
 from gridtopo.info_core import (
@@ -227,7 +228,7 @@ def test_group_mi_is_the_same_before_and_after_the_marginal_cache(bus8, bus8_spe
 
     def ld(buses):
         idx = [j for b in buses for j in cold.slices[b]]
-        return float(np.real(np.linalg.slogdet(cold.cov[np.ix_(idx, idx)])[1]))
+        return float(eliminated_logdet(cold.cov[np.ix_(idx, idx)]))
 
     direct = (0.5 * (ld([4]) + ld([2, 3]) - ld([4, 2, 3])),
               0.5 * (ld([2]) + ld([4]) - ld([2, 4])))
@@ -317,28 +318,24 @@ def _assert_parity(panel, frame, source, slack=False):
 
 
 def _all_pairs_loop_reference(stats):
-    """All-pairs MI as it was computed before the bookkeeping was vectorised.
+    """All-pairs MI, pair by pair, without the batching or the gather plan.
 
-    Python loops build each pair's index list and group the pairs by
-    joint dimension; each group is one batched slogdet, and the values
-    are written back pair by pair.
+    Each bus's and each pair's log-determinant is one plain elimination
+    of its own block (eliminated_logdet), and the values are written
+    back pair by pair.
     """
     buses = [b for b in stats.bus_ids if b != 0]
-    pos = {b: i for i, b in enumerate(buses)}
-    marg = {b: stats._logdet([b]) for b in buses}
-    groups = {}
+
+    def ld(idx):
+        return float(eliminated_logdet(stats.cov[np.ix_(idx, idx)]))
+
+    marg = {b: ld(stats.slices[b]) for b in buses}
+    values = np.zeros((len(buses), len(buses)))
     for ii in range(len(buses)):
         for kk in range(ii + 1, len(buses)):
             bi, bk = buses[ii], buses[kk]
-            idx = stats.slices[bi] + stats.slices[bk]
-            groups.setdefault(len(idx), []).append((bi, bk, idx))
-    values = np.zeros((len(buses), len(buses)))
-    for entries in groups.values():
-        idx = np.asarray([e[2] for e in entries], dtype=np.intp)
-        _, ld = np.linalg.slogdet(stats.cov[idx[:, :, None], idx[:, None, :]])
-        for (bi, bk, _), ld_j in zip(entries, np.real(ld)):
-            values[pos[bi], pos[bk]] = values[pos[bk], pos[bi]] = \
-                0.5 * (marg[bi] + marg[bk] - float(ld_j))
+            values[ii, kk] = values[kk, ii] = \
+                0.5 * (marg[bi] + marg[bk] - ld(stats.slices[bi] + stats.slices[bk]))
     return values
 
 
@@ -408,7 +405,7 @@ def test_batched_marginals_equal_the_per_bus_logdet_bit_for_bit(bus8, bus8_spec,
         batched, single = make(), make()
         batched.mi_matrix()
         buses = [b for b in single.bus_ids if b != 0]
-        assert ([batched._marginal[b].hex() for b in buses]
+        assert ([batched._blocks[(b,)].hex() for b in buses]
                 == [single._logdet([b]).hex() for b in buses])
 
 
@@ -421,6 +418,110 @@ def test_mi_matrix_names_every_singular_pair(bus8, bus8_spec):
     with pytest.raises(MIComputationError) as err:
         PanelStatistics(panel).mi_matrix()
     assert err.value.failures == [(2, 5), (3, 7)]
+
+
+# -- block log-determinant kernel ----------------------------------------
+
+
+def _catalogue_joint_widths():
+    """Every feature count of one, two or three buses of a catalogue feeder, both sources."""
+    out = set()
+    for name in FEEDER_NAMES:
+        phases = set(make_feeder(name).masks_array().sum(axis=1).tolist())
+        for per_phase in (1, 2):
+            w = {per_phase * p for p in phases}
+            out |= w | {a + b for a in w for b in w} | {a + b + c for a in w for b in w for c in w}
+    return sorted(out)
+
+
+def _random_spd(rng, d, n):
+    """n random unit-diagonal positive definite (d, d) blocks, as (n, d, d)."""
+    G = rng.standard_normal((n, d, 2 * d))
+    M = G @ G.transpose(0, 2, 1) / (2 * d)
+    s = np.sqrt(np.diagonal(M, axis1=1, axis2=2))
+    return M / (s[:, :, None] * s[:, None, :])
+
+
+def test_block_logdets_match_slogdet_on_every_catalogue_width():
+    rng = np.random.default_rng(5)
+    widths = _catalogue_joint_widths()
+    assert widths[0] == 1 and widths[-1] == 18
+    for d in widths:
+        blocks = _random_spd(rng, d, 200)
+        ld, ok = info_core._block_logdets(np.ascontiguousarray(blocks.transpose(1, 2, 0)))
+        sign, want = np.linalg.slogdet(blocks)
+        assert ok.all() and (sign > 0).all()
+        # rounding of two different factorisations of blocks with log|det| of order -d
+        assert np.abs(ld - want).max() <= 1e-12 * d * max(1.0, np.abs(want).max())
+
+
+def test_block_logdets_flag_singular_indefinite_and_nan_blocks():
+    rng = np.random.default_rng(6)
+    good = _random_spd(rng, 6, 1)[0]
+    duplicated = good.copy()
+    duplicated[4], duplicated[:, 4] = duplicated[1], duplicated[:, 1]
+    dead = good.copy()
+    dead[2], dead[:, 2] = 0.0, 0.0
+    indefinite = good.copy()
+    indefinite[3, 3] = -1.0
+    flipped = good - 2.0 * np.eye(6)
+    holed = good.copy()
+    holed[5, 0] = holed[0, 5] = np.nan
+    blocks = np.stack([good, duplicated, dead, indefinite, flipped, holed, good])
+    ld, ok = info_core._block_logdets(np.ascontiguousarray(blocks.transpose(1, 2, 0)))
+    assert ok.tolist() == [True, False, False, False, False, False, True]
+    assert ld[0] == ld[6] and np.isfinite(ld[0])
+
+
+def test_a_block_alone_equals_the_same_block_in_a_large_batch():
+    rng = np.random.default_rng(7)
+    for d in (4, 8, 12, 18):
+        blocks = np.ascontiguousarray(_random_spd(rng, d, 1000).transpose(1, 2, 0))
+        batched, _ = info_core._block_logdets(blocks.copy())
+        alone = [info_core._block_logdets(blocks[:, :, [n]].copy())[0][0] for n in range(0, 1000, 37)]
+        assert [v.hex() for v in alone] == [v.hex() for v in batched[::37]]
+
+
+def test_pairs_and_triples_alone_equal_their_batched_values(bus8, bus8_spec):
+    """A query's bits do not depend on the batch that took its blocks."""
+    panel = generate_increments(bus8, bus8_spec, T=500, seed=9, slack_sigma=0.01)
+    batched = PanelStatistics(panel)
+    matrix = batched.mi_matrix()
+    queries = [([m], [p, q]) for m in (2, 4, 6) for p, q in ((1, 3), (3, 5), (5, 7))]
+    queries += [([0], [b]) for b in range(1, 8)] + [([5, 6], [7]), ([2], [1, 3])]
+    values = batched.group_mis(queries)
+    for (a, b), v in zip(queries, values):
+        assert PanelStatistics(panel).group_mi(a, b).hex() == v.hex()
+    for i, k, v in matrix.pairs():
+        assert PanelStatistics(panel).pair_mi(i, k).hex() == v.hex()
+    with pytest.raises(InfoCoreError, match="disjoint"):
+        PanelStatistics(panel).group_mis([([1], [2]), ([3], [3, 4])])
+
+
+def test_mi_queries_take_no_lapack_determinant(bus8, bus8_spec, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("np.linalg.slogdet called")
+
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    panel = generate_increments(bus8, bus8_spec, T=500, seed=10, slack_sigma=0.01)
+    stats = PanelStatistics(panel)
+    assert stats.mi_matrix().n == 7
+    assert stats.group_mi([4], [2, 3]) > 0.0
+    assert stats.substation_mi() is not None
+    assert substation_mi(panel) is not None
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_substation_mi_takes_one_batch_per_joint_width(bus8, bus8_spec, monkeypatch, warm):
+    panel = generate_increments(bus8, bus8_spec, T=600, seed=12, slack_sigma=0.01)
+    stats = PanelStatistics(panel)
+    if warm:
+        stats.mi_matrix()
+    widths = record_logdets(stats, monkeypatch)
+    got = stats.substation_mi()
+    assert widths and len(widths) == len(set(widths))
+    single = PanelStatistics(panel)
+    assert got == {b: single.pair_mi(0, b) for b in range(1, 8)}
 
 
 @pytest.mark.parametrize("T", [31, 241, 8760])

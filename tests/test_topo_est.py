@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import is_spanning_tree, spanning_trees
+from conftest import is_spanning_tree, record_logdets, spanning_trees
 from gridtopo.feeders import make_feeder
 from gridtopo.info_core import MIMatrix, PanelStatistics
 from gridtopo.synth_lab import InjectionSpec, analytic_cov, generate_increments
@@ -480,6 +480,25 @@ def test_recover_exact_statistics_adds_no_chord_to_a_radial_feeder(exact_feeders
     assert set(est.edges) == set(topo.edge_set(include_root=False))
 
 
+@pytest.mark.parametrize("feeder", ["bus33", "bus123"])
+def test_mesh_recovery_takes_one_batch_per_joint_width(feeder, monkeypatch):
+    topo = make_feeder(feeder)
+    panel = generate_increments(topo, InjectionSpec.random(topo, seed=0), T=721, seed=4)
+    stats = PanelStatistics(panel)
+    stats.mi_matrix()
+    widths = record_logdets(stats, monkeypatch)
+    est = recover(stats, mesh=True, declared_root=1)
+    _, candidates = mesh_candidates(stats.mi_matrix())
+    assert widths and len(widths) == len(set(widths)) < len(candidates)
+    # the same estimate, to the last bit, as the per-candidate search
+    fresh = PanelStatistics(panel)
+    want = attach_root(weak_mesh_search(fresh.mi_matrix(),
+                                        lambda m, pair: fresh.group_mi([m], list(pair))),
+                       declared_root=1)
+    assert (est.edges, est.chords, est.root_edge) == (want.edges, want.chords, want.root_edge)
+    assert est.weights == want.weights
+
+
 # -- CSV interchange -----------------------------------------------------
 
 
@@ -524,6 +543,21 @@ def test_estimate_csv_refuses_an_unknown_chord_flag(tmp_path, flag):
     path.write_text(f"parent_id,child_id,chord\n1,2,0\n2,3,{flag}\n")
     with pytest.raises(TopologyEstimateError, match=f"line 3: bad chord flag '{flag}'"):
         estimate_from_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "-1e-300"])
+def test_estimate_csv_refuses_a_non_finite_or_negative_mi(tmp_path, value):
+    path = tmp_path / "weights.csv"
+    path.write_text(f"parent_id,child_id,mi_nats\n0,1,0.5\n1,2,0.25\n2,3,{value}\n")
+    with pytest.raises(TopologyEstimateError,
+                       match=f"line 4: mi_nats '{value}' is not a finite non-negative number"):
+        estimate_from_csv(path)
+
+
+def test_estimate_csv_reads_zero_and_blank_mi(tmp_path):
+    path = tmp_path / "weights.csv"
+    path.write_text("parent_id,child_id,mi_nats\n0,1,0.5\n1,2,0\n2,3,\n")
+    assert estimate_from_csv(path).weights == {(0, 1): 0.5, (1, 2): 0.0}
 
 
 def test_estimate_csv_rejects_missing_columns(tmp_path):
