@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 import numbers
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -186,11 +185,6 @@ def _sampler(topo, injection_seed, base_sigma, reactive_ratio, der_scale, der_fr
     return FeederSampler(topo, spec)
 
 
-# held while a model is looked up, so that concurrent first uses of a
-# scenario build its model once
-_MODEL_LOCK = threading.Lock()
-
-
 @functools.lru_cache(maxsize=8)
 def _feeder_model(feeder, z_base_ohm, *injection):
     """The sampler of a catalogue feeder under an injection model.
@@ -211,12 +205,13 @@ def build_context(config, topology=None):
 
     The model of a catalogue feeder comes from a process-wide cache
     keyed by the config's _MODEL_FIELDS, so repeated calls on one
-    scenario build it once. An explicit topology is built afresh.
+    scenario in one process build it once; a process that builds each
+    scenario once gains nothing from it. An explicit topology is built
+    afresh.
     """
     model = [getattr(config, name) for name in _MODEL_FIELDS]
     if topology is None:
-        with _MODEL_LOCK:
-            sampler = _feeder_model(*model)
+        sampler = _feeder_model(*model)
     else:
         sampler = _sampler(topology, *model[2:])
     topo = sampler.topology

@@ -571,7 +571,8 @@ def mi_breakdown(panel, bus_i, bus_k):
     and the three terms sum exactly to the full polar-frame mutual
     information computed from the same joint covariance. Each term is a
     difference of group_mi queries on PanelStatistics built from that
-    covariance, with the blocks m_i, t_i, m_k and t_k in place of buses.
+    covariance, with the blocks m_i, t_i, m_k and t_k in place of buses,
+    all taken in one group_mis call.
     Constant channels drop out, so on magnitude-only panels (constant
     angles) term_b = term_c = 0.
     """
@@ -603,8 +604,14 @@ def mi_breakdown(panel, bus_i, bus_k):
     # so by Cauchy interlacing this one check covers them all
     if not _full_rank(stats.cov, _POLAR_RANK_RTOL):
         raise SingularCovarianceError(f"singular polar covariance for buses {bus_i},{bus_k}")
-    mi = stats.group_mi
-    term_a = mi(["m_i"], ["m_k"])
-    term_b = mi(["m_k"], ["t_i", "m_i"]) - term_a if slices["t_i"] else 0.0
-    term_c = mi(["t_k"], ["m_i", "t_i", "m_k"]) - mi(["t_k"], ["m_k"]) if slices["t_k"] else 0.0
+    queries = {"a": (["m_i"], ["m_k"])}
+    if slices["t_i"]:
+        queries["b"] = (["m_k"], ["t_i", "m_i"])
+    if slices["t_k"]:
+        queries["c"] = (["t_k"], ["m_i", "t_i", "m_k"])
+        queries["c_given"] = (["t_k"], ["m_k"])
+    mi = dict(zip(queries, stats.group_mis(queries.values())))
+    term_a = mi["a"]
+    term_b = mi["b"] - term_a if "b" in mi else 0.0
+    term_c = mi["c"] - mi["c_given"] if "c" in mi else 0.0
     return term_a, term_b, term_c

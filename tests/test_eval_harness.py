@@ -1,7 +1,5 @@
-import concurrent.futures
 import dataclasses
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -292,21 +290,6 @@ def test_cached_model_arrays_are_read_only():
     # draws still work, and their arrays are the caller's own
     panel = draw_panel(ctx, 3)
     assert panel.values.flags.writeable and panel.masks.flags.writeable
-
-
-def test_concurrent_first_uses_of_a_scenario_build_one_model():
-    cfg = ScenarioConfig(feeder="bus13", n_samples=200, injection_seed=17)
-    eval_harness._feeder_model.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(build_context, cfg) for _ in range(16)]
-            samplers = {id(f.result(timeout=60).sampler) for f in futures}
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(samplers) == 1
-    assert eval_harness._feeder_model.cache_info().misses == 1
 
 
 def test_rooted_request_builds_one_statistics(bus8, bus8_spec, monkeypatch):

@@ -509,6 +509,7 @@ def test_mi_queries_take_no_lapack_determinant(bus8, bus8_spec, monkeypatch):
     assert stats.group_mi([4], [2, 3]) > 0.0
     assert stats.substation_mi() is not None
     assert substation_mi(panel) is not None
+    assert mi_breakdown(integrate_voltages(panel), 1, 2)[0] > 0.0
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -677,6 +678,21 @@ def test_mi_breakdown_chain_rule(bus8, bus8_spec):
         total = 0.5 * (ld(C[:d, :d]) + ld(C[d:, d:]) - ld(C))
         assert a + b + c == pytest.approx(total, abs=1e-9)
         assert a >= 0 and b >= -1e-12 and c >= -1e-12
+
+
+def test_mi_breakdown_takes_one_batch_per_joint_width(bus8, bus8_spec, monkeypatch):
+    volts = integrate_voltages(_inc(bus8, bus8_spec, 1500, 8))
+    widths = []
+    logdets = PanelStatistics._logdets
+
+    def recording(self, flat):
+        widths.append(flat.shape[0])
+        return logdets(self, flat)
+
+    monkeypatch.setattr(PanelStatistics, "_logdets", recording)
+    a, b, c = mi_breakdown(volts, 1, 2)
+    assert a > 0 and b != 0.0 and c != 0.0
+    assert widths and len(widths) == len(set(widths))
 
 
 def test_mi_breakdown_magnitude_only_drops_angle_terms(bus8, bus8_spec):
