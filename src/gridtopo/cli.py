@@ -54,8 +54,8 @@ def _add_generation_flags(p):
 
 def _add_method_flags(p, source_default="auto"):
     p.add_argument("--frame", default="sequence", choices=("phase", "sequence"),
-                   help="label only: MI is invariant under the per-bus "
-                        "symmetrical-component map, so both frames give the same output")
+                   help="checked and echoed in the summary line, changes no file or value: "
+                        "MI is invariant under the per-bus symmetrical-component map")
     choices = ("complex", "magnitude") if source_default != "auto" else (
         "complex", "magnitude", "auto")
     p.add_argument("--source", default=source_default, choices=choices)

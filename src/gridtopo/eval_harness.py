@@ -96,7 +96,8 @@ class ScenarioConfig:
     increments. declared_root None means the true feeder head is used
     to attach the substation (the generator holds it at a constant
     voltage, so there is no substation signal to use instead unless
-    slack_sigma is set).
+    slack_sigma is set). frame is checked and recorded in reports
+    but changes no estimate.
     """
 
     feeder: str = "bus33"
@@ -263,7 +264,7 @@ def draw_panel(ctx, seed):
 def _recover(ctx, volts, seed, replicate):
     """Recovery of one measured panel, scored; returns a flat result dict."""
     cfg = ctx.config
-    estimate, stats = estimate_topology(volts, frame=cfg.frame, source=cfg.source,
+    estimate, stats = estimate_topology(volts, source=cfg.source,
                                         mesh=cfg.mesh, max_chords=cfg.max_chords,
                                         gain_tol=cfg.gain_tol, ridge=cfg.ridge,
                                         declared_root=(cfg.declared_root

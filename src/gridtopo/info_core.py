@@ -2,15 +2,14 @@
 
 Every mutual information here is a difference of log-determinants of
 principal blocks of one standardized covariance: pairwise and group
-mutual information and the all-pairs mutual information matrix, in one
-of two frames (phase or symmetrical-component) from one of two sources
-(complex phasors or magnitudes). PanelStatistics is that one kernel,
-and its batched block log-determinant is the only determinant taken. It
-is built from the sample covariance of a panel or, through
-PanelStatistics.from_analytic, from the exact covariance of the
-increment model (infinite data); both sources share every step after
-the covariance. mi_breakdown's magnitude/angle split is a kernel query
-too, on statistics built from the pair's polar covariance.
+mutual information and the all-pairs mutual information matrix, from
+one of two sources (complex phasors or magnitudes). PanelStatistics is
+that one kernel, and its batched block log-determinant is the only
+determinant taken. It is built from the sample covariance of a panel
+or, through PanelStatistics.from_analytic, from the exact covariance of
+the increment model (infinite data); both sources share every step
+after the covariance. mi_breakdown's magnitude/angle split is a kernel
+query too, on statistics built from the pair's polar covariance.
 
 Complex observations are treated as real vectors of each channel's
 (Re, Im) pair, channels in panel column order. The magnitude source
@@ -19,14 +18,12 @@ the stored readings when a panel never had angles). All values are in
 nats. Conditional mutual information follows from the chain rule,
 I(A; B | Z) = I(A; B, Z) - I(A; Z), as two group_mi queries.
 
-The frame does not change any value. The symmetrical-component map
-(SEQ_H_INV, restricted to a bus's claimed slots) is an invertible
-linear map of each bus's own channels, and Gaussian mutual information
-between bus blocks is invariant under such maps: their determinants
-cancel between the joint and the marginal log-determinants. So every
-covariance is built from the phase-frame features, and frame only
-labels the results; to_sequence and from_sequence remain for callers
-that want the components themselves.
+Every covariance is built from the phase-frame features. The paper's
+symmetrical-component frame is an invertible linear map of each bus's
+own channels, and Gaussian mutual information between bus blocks is
+invariant under such maps: their determinants cancel between the joint
+and the marginal log-determinants. So the frame changes no value, and
+the entry points that still take one only check it.
 
 A panel's statistics come from one contiguous column range of its
 (T, D) channel block, whose float64 view already lists each complex
@@ -48,17 +45,6 @@ from .grid_model import write_csv
 
 FRAMES = ("phase", "sequence")
 SOURCES = ("complex", "magnitude")
-
-# Phase-to-sequence transform: columns of SEQ_H are the positive,
-# negative and zero sequence basis vectors; SEQ_H_INV maps phase
-# quantities to (p, n, z).
-_H1 = np.exp(2j * np.pi / 3.0)
-SEQ_H = np.array([
-    [1.0, 1.0, 1.0],
-    [_H1 ** 2, _H1, 1.0],
-    [_H1, _H1 ** 2, 1.0],
-], dtype=complex)
-SEQ_H_INV = SEQ_H.conj().T / 3.0
 
 
 class InfoCoreError(Exception):
@@ -97,25 +83,6 @@ def difference(panel):
     return replace(panel, values=np.diff(panel.values, axis=0),
                    masks=panel.masks.copy(), labels=panel.labels.copy(),
                    kind="increment")
-
-
-def to_sequence(values):
-    """Map phase-frame 3-vectors to (positive, negative, zero) components.
-
-    Accepts shape (..., 3); a balanced positive-sequence triple maps to
-    (v, 0, 0).
-    """
-    arr = np.asarray(values)
-    if arr.shape[-1] != 3:
-        raise InfoCoreError("sequence transform expects trailing dimension 3")
-    return arr @ SEQ_H_INV.T
-
-
-def from_sequence(values):
-    arr = np.asarray(values)
-    if arr.shape[-1] != 3:
-        raise InfoCoreError("phase transform expects trailing dimension 3")
-    return arr @ SEQ_H.T
 
 
 # ---------------------------------------------------------------------
@@ -207,8 +174,8 @@ class PanelStatistics:
     single product of the centred slice with itself; the features are
     then standardized by a diagonal rescale (population variances, so
     the diagonal reads n/(n-1), or 1 at infinite data). The covariance
-    is that of the phase-frame features whatever the frame; frame only
-    labels the results (see the module docstring).
+    is that of the phase-frame features whatever the frame: frame is
+    checked and changes no output (see the module docstring).
     Every mutual-information query then reduces to log-determinants of
     principal submatrices, all taken by one batched elimination
     (_logdets, see _block_logdets) that holds no interpreter lock while
@@ -240,10 +207,10 @@ class PanelStatistics:
         first = 0 if _slack_has_signal(panel, source) else 1
         bus_ids = list(range(first, panel.n_buses))
         cov, slices = _feature_cov(panel, bus_ids, source)
-        self._standardize(cov, slices, bus_ids, frame, source, panel.n_samples, ridge)
+        self._standardize(cov, slices, bus_ids, panel.n_samples, ridge)
 
     @classmethod
-    def from_analytic(cls, acov, frame="phase"):
+    def from_analytic(cls, acov):
         """Exact statistics of the complex source from an AnalyticCovariance.
 
         acov.real's [Re; Im] rows and columns are interleaved into the
@@ -251,21 +218,20 @@ class PanelStatistics:
         and then take its standardisation. n_samples is infinite. The
         analytic channels have no substation, so substation_mi() is None.
         """
-        _validate_frame_source(frame, "complex")
         order = np.arange(2 * acov.dim).reshape(2, acov.dim).T.ravel()
         cov = acov.real[np.ix_(order, order)]
         bus_ids = list(range(1, acov.masks.shape[0]))
         return cls._from_cov(cov, _bus_slices(bus_ids, 2 * acov.masks[1:].sum(axis=1)),
-                             bus_ids, frame, "complex", math.inf)
+                             bus_ids, math.inf)
 
     @classmethod
-    def _from_cov(cls, cov, slices, bus_ids, frame, source, n):
+    def _from_cov(cls, cov, slices, bus_ids, n):
         """Statistics of a feature covariance that did not come from a panel."""
         stats = cls.__new__(cls)
-        stats._standardize(cov, slices, bus_ids, frame, source, n, 0.0)
+        stats._standardize(cov, slices, bus_ids, n, 0.0)
         return stats
 
-    def _standardize(self, cov, slices, bus_ids, frame, source, n, ridge):
+    def _standardize(self, cov, slices, bus_ids, n, ridge):
         """Rescale cov to unit population variances and keep it."""
         factor = 1.0 if math.isinf(n) else (n - 1) / n
         sd = np.sqrt(cov.diagonal() * factor)
@@ -278,8 +244,6 @@ class PanelStatistics:
         cov /= np.outer(sd, sd)
         if ridge > 0.0:
             cov[np.diag_indices(cov.shape[0])] += ridge
-        self.frame = frame
-        self.source = source
         self.n_samples = n
         self.dim = cov.shape[0]
         self.cov = cov
@@ -395,8 +359,7 @@ class PanelStatistics:
             values[kk, ii] = mi
         if failures:
             raise MIComputationError(sorted(failures))
-        return MIMatrix(bus_ids=tuple(buses), values=values,
-                        frame=self.frame, source=self.source)
+        return MIMatrix(bus_ids=tuple(buses), values=values)
 
     def substation_mi(self, significance=1e-3):
         """MI between the substation and every non-slack bus, or None.
@@ -508,8 +471,6 @@ class MIMatrix:
 
     bus_ids: tuple
     values: np.ndarray
-    frame: str = "phase"
-    source: str = "complex"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -544,6 +505,7 @@ def substation_mi(panel, frame="phase", source="complex", significance=1e-3):
     PanelStatistics(panel, frame, source).substation_mi(significance),
     with the cheap test of the substation block first, so a panel whose
     substation carries no usable signal never builds the full statistics.
+    frame is checked and changes no output.
     """
     _validate_frame_source(frame, source)
     if not _slack_has_signal(panel, source):
@@ -597,8 +559,7 @@ def mi_breakdown(panel, bus_i, bus_k):
         raise SingularCovarianceError(f"no varying channels between buses {bus_i} and {bus_k}")
     n = X.shape[0]
     X -= X.mean(axis=0)
-    stats = PanelStatistics._from_cov(X.T @ X / (n - 1), slices, list(slices),
-                                      "phase", "polar", n)
+    stats = PanelStatistics._from_cov(X.T @ X / (n - 1), slices, list(slices), n)
     stats.require_samples(stats.dim)
     # every block queried below is a principal submatrix of the joint,
     # so by Cauchy interlacing this one check covers them all

@@ -256,11 +256,11 @@ def identity_labels(masks):
 
 
 def to_magnitude(panel):
-    """Drop angle information, keeping |v| per channel."""
-    out = panel.copy()
-    out.values = np.abs(out.values).astype(complex)
-    out.magnitude_only = True
-    return out
+    """Drop angle information, keeping |v| per channel, in one fresh block."""
+    values = np.zeros(panel.values.shape, dtype=complex)
+    np.abs(panel.values, out=values.real)
+    return VoltagePanel(values=values, masks=panel.masks.copy(), labels=panel.labels.copy(),
+                        kind=panel.kind, magnitude_only=True)
 
 
 # ---------------------------------------------------------------------
@@ -360,7 +360,8 @@ class FeederSampler:
         seed the first T samples of a longer run equal the T-sample run
         to the last bit, as data-length sweeps need. A single product of
         all T rows would not give that, since BLAS computes its tail
-        rows and short runs differently.
+        rows and short runs differently. Both blocks are reused, so the
+        draw holds little beyond the panel.
         """
         if T < 1:
             raise SynthError("need at least one increment sample")
@@ -370,14 +371,18 @@ class FeederSampler:
         if rng is None:
             rng = np.random.default_rng(self.spec.seed if seed is None else seed)
         D = self.D
-        W = np.zeros((-(-T // DRAW_BLOCK) * DRAW_BLOCK, 2 * D))
-        rng.standard_normal(out=W[:T])
-        X = (W.reshape(-1, DRAW_BLOCK, 2 * D) @ self.sampling_matrix.T).reshape(-1, 2 * D)[:T]
         masks = self.masks.copy()
         values = np.zeros((T, int(masks.sum())), dtype=complex)
         block = values[:, values.shape[1] - D:]
-        block.real = X[:, :D]
-        block.imag = X[:, D:]
+        W = np.empty((DRAW_BLOCK, 2 * D))
+        X = np.empty((DRAW_BLOCK, 2 * D))
+        for lo in range(0, T, DRAW_BLOCK):
+            n = min(DRAW_BLOCK, T - lo)
+            rng.standard_normal(out=W[:n])
+            W[n:] = 0.0
+            np.matmul(W, self.sampling_matrix.T, out=X)
+            block.real[lo:lo + n] = X[:n, :D]
+            block.imag[lo:lo + n] = X[:n, D:]
         if slack_sigma > 0.0:
             z = rng.spawn(1)[0].standard_normal((T, 2, 3))
             dv0 = (slack_sigma / math.sqrt(2.0)) * (z[:, 0] + 1j * z[:, 1])

@@ -48,8 +48,6 @@ class EdgeSetEstimate:
     weights: dict = field(default_factory=dict)
     chords: tuple = ()
     root_edge: tuple = None
-    frame: str = "phase"
-    source: str = "complex"
 
     def __post_init__(self):
         self.edges = tuple(tuple(sorted(e)) for e in self.edges)
@@ -175,8 +173,7 @@ def max_weight_spanning_tree(mi):
         weights[tuple(sorted((buses[s], buses[v])))] = float(w[s, v])
     edges = tuple(sorted(weights, key=lambda e: _rank_key(e, weights[e])))
     return EdgeSetEstimate(bus_ids=tuple(buses), edges=edges,
-                           weights={e: weights[e] for e in edges},
-                           frame=mi.frame, source=mi.source)
+                           weights={e: weights[e] for e in edges})
 
 
 def _prim_links(w, buses):
@@ -276,8 +273,7 @@ def attach_root(estimate, substation_mi=None, declared_root=None):
     downstream consumers must treat it as flagged.
     """
     est = EdgeSetEstimate(bus_ids=estimate.bus_ids, edges=estimate.edges,
-                          weights=dict(estimate.weights), chords=estimate.chords,
-                          frame=estimate.frame, source=estimate.source)
+                          weights=dict(estimate.weights), chords=estimate.chords)
     if substation_mi:
         child = max(sorted(substation_mi), key=lambda b: substation_mi[b])
         est.root_edge = (0, child)
@@ -426,8 +422,7 @@ def _mesh_search(mi, joint_mis, max_chords, gain_tol):
     weights[tuple(sorted((m, strong)))] = float(max(w_p, w_q))
     weights[tuple(sorted((m, weak)))] = float(min(w_p, w_q))
     return EdgeSetEstimate(bus_ids=tuple(buses), edges=edges, weights=weights,
-                           chords=(tuple(sorted((m, weak))),),
-                           frame=mi.frame, source=mi.source)
+                           chords=(tuple(sorted((m, weak))),))
 
 
 def recover(stats, mesh=False, max_chords=1, gain_tol=0.01, declared_root=None):
@@ -457,7 +452,7 @@ def estimate_topology(volt_panel, frame="phase", source="complex", mesh=False,
     works on the moduli of the complex increments; a panel that only
     ever stored magnitudes falls back to increments of those readings.
     The substation test reads the same statistics, so a request builds
-    one covariance.
+    one covariance. frame is checked and changes no output.
     """
     stats = PanelStatistics(difference(volt_panel), frame=frame, source=source, ridge=ridge)
     return recover(stats, mesh=mesh, max_chords=max_chords, gain_tol=gain_tol,

@@ -5,24 +5,59 @@ Acceptance tests register one line per criterion through the
 full run ends with a compact pass/fail table. padded and unpadded
 convert between a panel's (T, D) channel block and the (T, n_buses, 3)
 slot grid that some tests index by (bus, slot), and channel_coords
-names the (bus, slot) of each model-side channel. dense_reference and
-dense_mi are the explicit exact-MI construction, frame transform
-included, that the kernel's analytic statistics are checked against.
+names the (bus, slot) of each model-side channel. SEQ_H, SEQ_H_INV,
+to_sequence and from_sequence are the symmetrical-component transform
+of the paper's sequence frame, which the kernel never applies.
+dense_reference and dense_mi are the explicit exact-MI construction,
+frame transform included, that the kernel's analytic statistics are
+checked against, and sequence_statistics is the kernel run on that
+transformed covariance.
 spanning_trees and edge_correlation_margins are brute-force and
 ground-truth oracles for the spanning-tree and phase checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from gridtopo.feeders import make_feeder, random_feeder
-from gridtopo.info_core import SEQ_H_INV
+from gridtopo.info_core import PanelStatistics
 from gridtopo.phase_id import _edge_correlation, _unit_series
 from gridtopo.synth_lab import InjectionSpec, analytic_cov
 
 _CRITERIA = {}
+
+# Phase-to-sequence transform: columns of SEQ_H are the positive,
+# negative and zero sequence basis vectors; SEQ_H_INV maps phase
+# quantities to (p, n, z).
+_H1 = np.exp(2j * np.pi / 3.0)
+SEQ_H = np.array([
+    [1.0, 1.0, 1.0],
+    [_H1 ** 2, _H1, 1.0],
+    [_H1, _H1 ** 2, 1.0],
+], dtype=complex)
+SEQ_H_INV = SEQ_H.conj().T / 3.0
+
+
+def to_sequence(values):
+    """Map phase-frame 3-vectors to (positive, negative, zero) components.
+
+    Accepts shape (..., 3); a balanced positive-sequence triple maps to
+    (v, 0, 0).
+    """
+    arr = np.asarray(values)
+    if arr.shape[-1] != 3:
+        raise ValueError("sequence transform expects trailing dimension 3")
+    return arr @ SEQ_H_INV.T
+
+
+def from_sequence(values):
+    arr = np.asarray(values)
+    if arr.shape[-1] != 3:
+        raise ValueError("phase transform expects trailing dimension 3")
+    return arr @ SEQ_H.T
 
 
 def padded(panel):
@@ -63,6 +98,20 @@ def dense_reference(acov, frame):
     C = B @ acov.real @ B.T
     d = np.sqrt(np.diag(C))
     return C / np.outer(d, d), {b: np.stack([p, p + D], axis=1).ravel() for b, p in pos.items()}
+
+
+def sequence_statistics(acov):
+    """Exact statistics of acov's sequence-frame features, in from_analytic's layout.
+
+    The kernel's standardisation and queries on dense_reference(acov,
+    "sequence"): the paper's sequence-frame recovery at infinite data.
+    """
+    C, pos = dense_reference(acov, "sequence")
+    bus_ids = sorted(pos)
+    order = np.concatenate([pos[b] for b in bus_ids])
+    starts = np.cumsum([0] + [len(pos[b]) for b in bus_ids])
+    slices = {b: list(range(lo, hi)) for b, lo, hi in zip(bus_ids, starts, starts[1:])}
+    return PanelStatistics._from_cov(C[np.ix_(order, order)], slices, bus_ids, math.inf)
 
 
 def dense_mi(C, pos):

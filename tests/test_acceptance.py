@@ -20,6 +20,7 @@ from conftest import (channel_coords, dense_mi, dense_reference, edge_correlatio
 from gridtopo.eval_harness import (
     ScenarioConfig,
     ScenarioContext,
+    _evaluate,
     build_context,
     monte_carlo,
     sweep,
@@ -140,16 +141,20 @@ def test_criterion_03_label_corruption_robustness(criteria):
             assert a.bus_ids == b.bus_ids
             worst = max(worst, float(np.abs(a.values - b.values).max()))
 
-    # the noiseless grid again, now with 20% of bus labels scrambled
+    # the noiseless grid again, now with 20% of bus labels scrambled; the
+    # four combinations are points of one evaluation, so each replicate
+    # record is drawn and corrupted once, and each point's report equals
+    # monte_carlo's at that point
     bad = []
     for feeder in FEEDERS:
         base = ScenarioConfig(feeder=feeder, n_samples=T_YEAR,
                               label_fraction=0.20, phases=False)
         cctx = build_context(base)
-        for frame, source in COMBOS:
-            cfg = base.replaced(frame=frame, source=source)
-            rep = monte_carlo(cfg, REPS, base_seed=BASE_SEED, threads=4,
-                              context=_share_context(cctx, cfg))
+        points = [_share_context(cctx, base.replaced(frame=frame, source=source))
+                  for frame, source in COMBOS]
+        reports = _evaluate(points, REPS, BASE_SEED, 4, None, [None] * len(points),
+                            time.perf_counter())
+        for (frame, source), rep in zip(COMBOS, reports):
             ers = rep.error_rates()
             if rep.failures or len(ers) != REPS or max(ers) > 0.0:
                 bad.append(((feeder, frame, source), rep.summary()))
@@ -347,7 +352,7 @@ def test_criterion_08_frame_invariance(noiseless_campaign, bus8_analytic,
     acovs = [bus8_analytic] + [a for _, _, a in small_random_feeders]
     worst = 0.0
     for acov in acovs:
-        sq = PanelStatistics.from_analytic(acov, "sequence").mi_matrix()
+        sq = PanelStatistics.from_analytic(acov).mi_matrix()
         C, pos = dense_reference(acov, "sequence")
         assert sq.bus_ids == tuple(sorted(pos))
         worst = max(worst, float(np.abs(sq.values - dense_mi(C, pos)).max()))

@@ -253,6 +253,17 @@ def test_estimate_missing_file_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+def test_estimate_unknown_frame_exits_two(tmp_path, capsys):
+    prefix = _simulate(tmp_path, samples=50)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["estimate", "--measurements", prefix + ".measurements.csv",
+              "--frame", "seq", "--out", str(out)])
+    assert info.value.code == 2
+    assert "--frame: invalid choice: 'seq'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_negative_ridge_exits_two(tmp_path, capsys):
     prefix = _simulate(tmp_path, samples=100)
     rc = main(["estimate", "--measurements", prefix + ".measurements.csv",

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import (channel_coords, dense_mi, dense_reference, eliminated_logdet, padded,
-                      record_logdets, unpadded)
+from conftest import (SEQ_H_INV, channel_coords, dense_mi, dense_reference, eliminated_logdet,
+                      from_sequence, padded, record_logdets, sequence_statistics, to_sequence,
+                      unpadded)
 from gridtopo import info_core
 from gridtopo.feeders import FEEDER_NAMES, make_feeder, random_feeder
 from gridtopo.info_core import (
-    SEQ_H_INV,
     InfoCoreError,
     MIComputationError,
     MIMatrix,
@@ -23,12 +23,10 @@ from gridtopo.info_core import (
     SOURCES,
     SingularCovarianceError,
     difference,
-    from_sequence,
     mi_breakdown,
     _chi2_upper_quantile,
     _feature_cov,
     substation_mi,
-    to_sequence,
 )
 from gridtopo.synth_lab import (
     AnalyticCovariance,
@@ -45,13 +43,13 @@ from gridtopo.synth_lab import (
 from gridtopo.topo_est import estimate_topology
 
 
-def _exact(real, coords, frame="phase"):
+def _exact(real, coords):
     """Statistics of a hand-built exact covariance over (bus, slot) coords in column order."""
     masks = np.zeros((max(b for b, _ in coords) + 1, 3), dtype=bool)
     masks[tuple(zip(*coords))] = True
     assert channel_coords(masks) == coords
     acov = AnalyticCovariance(real=np.asarray(real, dtype=float), masks=masks)
-    return PanelStatistics.from_analytic(acov, frame)
+    return PanelStatistics.from_analytic(acov)
 
 
 def _conditional_mi(stats, a, b, given):
@@ -152,7 +150,7 @@ def test_sequence_round_trip(rng):
 
 
 def test_sequence_rejects_wrong_width():
-    with pytest.raises(InfoCoreError):
+    with pytest.raises(ValueError):
         to_sequence(np.ones((4, 2)))
 
 
@@ -185,8 +183,21 @@ def test_mi_matrix_all_frame_source_combinations(bus8, bus8_spec):
     for frame in ("phase", "sequence"):
         for source in ("complex", "magnitude"):
             est = PanelStatistics(panel, frame=frame, source=source).mi_matrix()
-            assert est.frame == frame and est.source == source
             assert np.all(np.isfinite(est.values))
+            # the frame changes no value
+            assert np.array_equal(est.values,
+                                  PanelStatistics(panel, source=source).mi_matrix().values)
+
+
+@pytest.mark.parametrize("call", [
+    lambda volts: PanelStatistics(difference(volts), frame="seq"),
+    lambda volts: substation_mi(difference(volts), frame="seq"),
+    lambda volts: estimate_topology(volts, frame="seq"),
+], ids=["PanelStatistics", "substation_mi", "estimate_topology"])
+def test_entry_points_that_take_a_frame_refuse_an_unknown_one(bus8, bus8_spec, call):
+    volts = integrate_voltages(_inc(bus8, bus8_spec, 50, 3))
+    with pytest.raises(InfoCoreError, match="frame must be one of"):
+        call(volts)
 
 
 def test_mi_matrix_invariant_to_label_corruption(bus8, bus8_spec):
@@ -352,7 +363,7 @@ def test_mi_matrix_equals_the_per_pair_loop_bit_for_bit(bus8, bus8_spec, frame, 
 
 def test_exact_mi_matrix_equals_the_per_pair_loop_bit_for_bit(small_random_feeders):
     for _, _, acov in small_random_feeders:
-        stats = PanelStatistics.from_analytic(acov, "sequence")
+        stats = PanelStatistics.from_analytic(acov)
         assert np.array_equal(stats.mi_matrix().values, _all_pairs_loop_reference(stats))
 
 
@@ -594,36 +605,31 @@ def test_panel_statistics_accepts_strided_values(bus8, bus8_spec):
 # from_analytic replaces: the frame transform as one (2D, 2D) matrix on
 # the analytic [Re; Im] layout, correlation scaling, and one
 # log-determinant per pair. The kernel's covariance is the phase-frame
-# one in either frame; its MI matches the reference of the frame asked.
+# one; its MI matches the reference in either frame.
 
 
 @pytest.mark.parametrize("frame", ["phase", "sequence"])
 def test_from_analytic_matches_dense_reference(bus8_analytic, small_random_feeders, frame):
     for acov in [bus8_analytic] + [a for _, _, a in small_random_feeders]:
         C, pos = dense_reference(acov, "phase")
-        stats = PanelStatistics.from_analytic(acov, frame)
+        stats = PanelStatistics.from_analytic(acov)
         assert stats.bus_ids == sorted(pos)
         order = np.concatenate([pos[b] for b in stats.bus_ids])
         want = C[np.ix_(order, order)]
         assert np.abs(stats.cov - want).max() <= 1e-12
         ref = dense_mi(*dense_reference(acov, frame))
         got = stats.mi_matrix()
-        assert got.bus_ids == tuple(stats.bus_ids) and got.frame == frame
+        assert got.bus_ids == tuple(stats.bus_ids)
         assert np.abs(got.values - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def test_from_analytic_is_infinite_data(bus8_analytic):
-    stats = PanelStatistics.from_analytic(bus8_analytic, "sequence")
-    assert stats.n_samples == math.inf and stats.source == "complex"
+    stats = PanelStatistics.from_analytic(bus8_analytic)
+    assert stats.n_samples == math.inf
     assert np.all(np.isfinite(stats.cov))
     assert np.abs(stats.cov.diagonal() - 1.0).max() <= 1e-12
     assert stats.substation_mi() is None
     stats.require_samples(10 ** 9)
-
-
-def test_from_analytic_rejects_unknown_frame(bus8_analytic):
-    with pytest.raises(InfoCoreError, match="frame"):
-        PanelStatistics.from_analytic(bus8_analytic, "polar")
 
 
 # -- ridge ---------------------------------------------------------------
@@ -806,8 +812,8 @@ def test_exact_mi_matrix_hand_built_pair():
 
 
 def test_exact_frame_invariance(bus8_analytic):
-    a = PanelStatistics.from_analytic(bus8_analytic, "phase").mi_matrix()
-    b = PanelStatistics.from_analytic(bus8_analytic, "sequence").mi_matrix()
+    a = PanelStatistics.from_analytic(bus8_analytic).mi_matrix()
+    b = sequence_statistics(bus8_analytic).mi_matrix()
     assert np.abs(a.values - b.values).max() < 1e-9
 
 

@@ -800,6 +800,33 @@ def test_plain_files_take_the_columnar_parse():
         assert (cols[4] is None) == mag_only
 
 
+def _traced_peak(fn):
+    """(result, peak bytes allocated while fn ran, as tracemalloc counts them)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_a_year_long_draw_holds_little_beyond_its_panel():
+    topo = make_feeder("bus123")
+    sampler = FeederSampler(topo, InjectionSpec.random(topo, seed=0))
+    panel, peak = _traced_peak(lambda: sampler.increments(8759, seed=1))
+    assert peak < 1.25 * panel.values.nbytes
+
+
+def test_to_magnitude_holds_one_panel():
+    topo = make_feeder("bus123")
+    volts = integrate_voltages(generate_increments(topo, InjectionSpec.random(topo, seed=0),
+                                                   T=8759, seed=1))
+    mags, peak = _traced_peak(lambda: to_magnitude(volts))
+    assert mags.n_samples == 8760
+    assert peak < 1.25 * mags.values.nbytes
+
+
 def test_reading_a_measurement_file_holds_at_most_four_times_its_size(tmp_path):
     # the reader keeps one encoded copy of the file for the parser and
     # drops it before the panel is built

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import is_spanning_tree, record_logdets, spanning_trees
+from conftest import is_spanning_tree, record_logdets, sequence_statistics, spanning_trees
 from gridtopo.feeders import make_feeder
 from gridtopo.info_core import MIMatrix, PanelStatistics
 from gridtopo.synth_lab import InjectionSpec, analytic_cov, generate_increments
@@ -413,7 +413,7 @@ def test_mesh_search_equals_reference(rng, ties):
 
 def test_mesh_candidates_and_search_equal_reference_on_bus123(exact_feeders):
     topo, acov = exact_feeders["bus123"]
-    stats = PanelStatistics.from_analytic(acov, "sequence")
+    stats = PanelStatistics.from_analytic(acov)
     mi = stats.mi_matrix()
     assert len(_assert_candidates_match_reference(mi)) == 119
     provider = lambda m, pq: stats.group_mi([m], list(pq))
@@ -445,9 +445,13 @@ def exact_feeders():
 
 
 def _recover_exact(exact_feeders, name, frame, mesh):
+    """recover on the kernel's exact statistics, or on those of the explicitly
+    sequence-transformed covariance, the paper's frame."""
     topo, acov = exact_feeders[name]
     head = min(topo.children_of(0))
-    est = recover(PanelStatistics.from_analytic(acov, frame), mesh=mesh, declared_root=head)
+    stats = (PanelStatistics.from_analytic(acov) if frame == "phase"
+             else sequence_statistics(acov))
+    est = recover(stats, mesh=mesh, declared_root=head)
     assert est.root_edge == (0, head)
     return topo, est
 
