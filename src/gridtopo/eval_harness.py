@@ -412,7 +412,7 @@ def _evaluate(points, replicates, base_seed, threads, axis, values, t0):
     return reports
 
 
-def monte_carlo(config, replicates, base_seed=0, threads=1, context=None):
+def monte_carlo(config, replicates, base_seed=0, threads=1):
     """Run independent replicates of a scenario and aggregate.
 
     Replicate r uses seed base_seed ^ r so a single base seed pins the
@@ -420,11 +420,13 @@ def monte_carlo(config, replicates, base_seed=0, threads=1, context=None):
     Per-replicate exceptions are recorded as failures rather than
     aborting the run. This is sweep's loop with a single point, so a
     sweep point's report equals monte_carlo's at that point, apart from
-    wall_time_s, which is the wall time of the whole call.
+    wall_time_s, which is the wall time of the whole call. Calls on one
+    feeder model share build_context's sampler. A recovery takes its MI
+    queries as group_mis batches (a pair_mi or group_mi is a one-query
+    batch) and its phase correlations one product per width group.
     """
     t0 = time.perf_counter()
-    ctx = context if context is not None else build_context(config)
-    return _evaluate([ctx], replicates, base_seed, threads, None, [None], t0)[0]
+    return _evaluate([build_context(config)], replicates, base_seed, threads, None, [None], t0)[0]
 
 
 def sweep(config, axis, values, replicates, base_seed=0, threads=1):

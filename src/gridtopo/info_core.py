@@ -16,7 +16,8 @@ Complex observations are treated as real vectors of each channel's
 takes the moduli of the complex increments per channel (increments of
 the stored readings when a panel never had angles). All values are in
 nats. Conditional mutual information follows from the chain rule,
-I(A; B | Z) = I(A; B, Z) - I(A; Z), as two group_mi queries.
+I(A; B | Z) = I(A; B, Z) - I(A; Z), as two group_mi queries, each a
+one-query group_mis batch, as pair_mi is.
 
 Every covariance is built from the phase-frame features. The paper's
 symmetrical-component frame is an invertible linear map of each bus's
@@ -181,10 +182,10 @@ class PanelStatistics:
     (_logdets, see _block_logdets) that holds no interpreter lock while
     it computes. The all-pairs matrix batches its pairs per joint
     dimension, gathering them by a plan built once per feature layout
-    (_pair_plan). Every other block's log-determinant is kept by its bus
-    tuple once computed, so each bus's own value is shared by the matrix
-    and every later query, and group_mis takes the blocks of many
-    queries in one batch per joint dimension.
+    (_pair_plan). Every other query is a group_mis batch (group_mi and
+    pair_mi are one-query batches), taken one _logdets call per joint
+    dimension. Each block's log-determinant is kept by its bus tuple,
+    so a bus's own value is shared by the matrix and later queries.
 
     The substation (bus 0) joins the column range only when its own
     block carries a usable signal (see _slack_has_signal); otherwise
@@ -270,54 +271,44 @@ class PanelStatistics:
         """
         return _block_logdets(np.take(self.cov, flat))
 
-    def _block_flat(self, buses):
-        """Flat positions of the joint block of buses, in the order given, as (d, d, 1)."""
-        idx = np.array([[j for b in buses for j in self.slices[b]]], dtype=np.intp)
-        return _flat_positions(idx, self.dim)
-
-    def _logdet(self, buses):
-        """log|det| of the joint block of buses, in the order given.
-
-        Each block's value is computed once and kept by its bus tuple.
-        """
-        key = tuple(buses)
-        if key not in self._blocks:
-            ld, ok = self._logdets(self._block_flat(key))
-            if not ok[0]:
-                raise SingularCovarianceError(f"singular covariance for buses {list(buses)}")
-            self._blocks[key] = float(ld[0])
-        return self._blocks[key]
-
     def group_mi(self, buses_a, buses_b):
-        """I(block A; block B) between unions of bus features, nats."""
-        ia = [j for b in buses_a for j in self.slices[b]]
-        ib = [j for b in buses_b for j in self.slices[b]]
-        if set(ia) & set(ib):
-            raise InfoCoreError("blocks must be disjoint")
-        self.require_samples(len(ia) + len(ib))
-        joint = list(buses_a) + list(buses_b)
-        return 0.5 * (self._logdet(buses_a) + self._logdet(buses_b) - self._logdet(joint))
+        """I(block A; block B) between unions of bus features, nats: the
+        one-query case of group_mis."""
+        return self.group_mis([(buses_a, buses_b)])[0]
 
     def group_mis(self, queries):
         """group_mi(buses_a, buses_b) of each query, in order.
 
-        The blocks of all queries that are not kept yet are taken
-        first, one _logdets call per joint dimension, so the values are
-        those of one group_mi call per query, to the last bit. A block
-        that is not positive definite is not kept, so the group_mi
-        call that needs it raises, as it would alone.
+        Every query is checked first. The blocks not kept yet are then
+        taken, one _logdets call per joint dimension, and kept by their
+        bus tuple, so a value does not depend on its batch. A block that
+        is not positive definite is not kept; the first query needing
+        it raises SingularCovarianceError naming it.
         """
-        queries = [(list(a), list(b)) for a, b in queries]
+        queries = [(tuple(a), tuple(b)) for a, b in queries]
+        cols = {}
+        for a, b in queries:
+            for key in (a, b, a + b):
+                cols[key] = [j for x in key for j in self.slices[x]]
+            if set(cols[a]) & set(cols[b]):
+                raise InfoCoreError("blocks must be disjoint")
+            self.require_samples(len(cols[a + b]))
         by_dim = {}
-        for key in dict.fromkeys(tuple(x) for a, b in queries for x in (a, b, a + b)):
+        for key, idx in cols.items():
             if key not in self._blocks:
-                flat = self._block_flat(key)
-                by_dim.setdefault(flat.shape[0], []).append((key, flat))
+                by_dim.setdefault(len(idx), []).append((key, idx))
         for group in by_dim.values():
-            ld, ok = self._logdets(np.concatenate([flat for _, flat in group], axis=2))
+            idx = np.array([idx for _, idx in group], dtype=np.intp)
+            ld, ok = self._logdets(_flat_positions(idx, self.dim))
             self._blocks.update((key, v) for (key, _), v, good
                                 in zip(group, ld.tolist(), ok.tolist()) if good)
-        return [self.group_mi(a, b) for a, b in queries]
+        out = []
+        for a, b in queries:
+            missing = [key for key in (a, b, a + b) if key not in self._blocks]
+            if missing:
+                raise SingularCovarianceError(f"singular covariance for buses {list(missing[0])}")
+            out.append(0.5 * (self._blocks[a] + self._blocks[b] - self._blocks[a + b]))
+        return out
 
     def pair_mi(self, bus_i, bus_k):
         return self.group_mi([bus_i], [bus_k])

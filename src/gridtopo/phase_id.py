@@ -5,7 +5,8 @@ voltage magnitudes at the two ends of a branch are more correlated than
 cross-phase pairs, so labels can be propagated from the trusted
 substation outward: each bus's channels are matched to its parent's
 already-resolved phases by the injective assignment with maximum total
-correlation.
+correlation. The correlations of all edges whose two buses have the
+same channel counts come from one stacked product, one per width pair.
 """
 
 from __future__ import annotations
@@ -85,12 +86,6 @@ def _unit_series(panel, use_increments=True):
     return z
 
 
-def _edge_correlation(z, panel, parent, child):
-    """(P, C) Pearson correlations of two buses' channels, read from z."""
-    off = panel.offsets
-    return z[off[parent]:off[parent + 1]] @ z[off[child]:off[child + 1]].T
-
-
 def _scored_maps(z, panel, edges, floor):
     """Score every injective child-to-parent channel map of every edge.
 
@@ -101,9 +96,13 @@ def _scored_maps(z, panel, edges, floor):
     child. A score sums the map's correlations of magnitude at least
     floor, in child channel order; NaN ones do not count. Edges are
     scored against one permutation table per (parent width, child
-    width), all edges of a width pair in one batch.
+    width), all edges of a width pair in one batch, whose (P, C)
+    Pearson correlation blocks come from one stacked product of the
+    parents' and the children's rows of z: per edge, the same product
+    as the edge's own two row blocks.
     """
-    width = np.diff(panel.offsets).tolist()
+    off = panel.offsets
+    width = np.diff(off).tolist()
     groups = {}
     for e, (parent, child) in enumerate(edges):
         if width[child] <= width[parent]:
@@ -111,7 +110,9 @@ def _scored_maps(z, panel, edges, floor):
     out = [[] for _ in edges]
     for (P, C), members in groups.items():
         maps = list(itertools.permutations(range(P), C))
-        corr = np.stack([_edge_correlation(z, panel, *edges[e]) for e in members])
+        parents, children = np.array([edges[e] for e in members]).T
+        corr = np.matmul(z[off[parents, None] + np.arange(P)],
+                         z[off[children, None] + np.arange(C)].transpose(0, 2, 1))
         with np.errstate(invalid="ignore"):
             corr = np.where(np.abs(corr) >= floor, corr, np.nan)
         vals = corr[:, np.array(maps, dtype=np.intp), np.arange(C)]
@@ -212,15 +213,11 @@ def assignment_accuracy(assignment, panel):
     Panels generated by the synthetic laboratory carry per-channel true
     phases; buses left at best-effort labels count like any other.
     """
-    total = 0
-    good = 0
-    for bus in range(1, panel.n_buses):
-        truth = panel.true_phases(bus)
-        got = tuple(assignment.channels.get(bus, ()))
-        total += 1
-        if got == truth:
-            good += 1
-    if total == 0:
+    buses = range(1, panel.n_buses)
+    if not buses:
         raise PhaseIdError("no non-slack buses to score")
-    return good / total
-
+    truth = panel.labels[panel.masks].tolist()
+    off = panel.offsets.tolist()
+    good = sum(tuple(assignment.channels.get(b, ())) == tuple(truth[off[b]:off[b + 1]])
+               for b in buses)
+    return good / len(buses)

@@ -360,8 +360,9 @@ class FeederSampler:
         seed the first T samples of a longer run equal the T-sample run
         to the last bit, as data-length sweeps need. A single product of
         all T rows would not give that, since BLAS computes its tail
-        rows and short runs differently. Both blocks are reused, so the
-        draw holds little beyond the panel.
+        rows and short runs differently. Both blocks are reused, and the
+        slack term is added block by block, so the draw holds little
+        beyond the panel.
         """
         if T < 1:
             raise SynthError("need at least one increment sample")
@@ -374,6 +375,11 @@ class FeederSampler:
         masks = self.masks.copy()
         values = np.zeros((T, int(masks.sum())), dtype=complex)
         block = values[:, values.shape[1] - D:]
+        if slack_sigma > 0.0:
+            # a spawned stream does not depend on the draws made before
+            z = rng.spawn(1)[0].standard_normal((T, 2, 3))
+            dv0 = (slack_sigma / math.sqrt(2.0)) * (z[:, 0] + 1j * z[:, 1])
+            slots = np.nonzero(masks)[1]
         W = np.empty((DRAW_BLOCK, 2 * D))
         X = np.empty((DRAW_BLOCK, 2 * D))
         for lo in range(0, T, DRAW_BLOCK):
@@ -383,10 +389,8 @@ class FeederSampler:
             np.matmul(W, self.sampling_matrix.T, out=X)
             block.real[lo:lo + n] = X[:n, :D]
             block.imag[lo:lo + n] = X[:n, D:]
-        if slack_sigma > 0.0:
-            z = rng.spawn(1)[0].standard_normal((T, 2, 3))
-            dv0 = (slack_sigma / math.sqrt(2.0)) * (z[:, 0] + 1j * z[:, 1])
-            values += dv0[:, np.nonzero(masks)[1]]
+            if slack_sigma > 0.0:
+                values[lo:lo + n] += dv0[lo:lo + n, slots]
         return VoltagePanel(
             values=values, masks=masks, labels=identity_labels(masks),
             kind="increment", magnitude_only=False,
@@ -451,23 +455,25 @@ class NoiseSpec:
 
 
 def apply_noise(panel, noise, seed=0):
-    """Scale every present channel sample by an independent (1 + eps)."""
+    """Scale every present channel sample of a copy, in place, by an independent (1 + eps)."""
     out = panel.copy()
     if noise is None or noise.bound == 0.0:
         return out
     rng = np.random.default_rng(seed)
-    n = out.values.size
     if noise.distribution == "uniform":
-        eps = rng.uniform(-noise.bound, noise.bound, size=n)
+        eps = rng.uniform(-noise.bound, noise.bound, size=out.values.shape)
     else:
         # inverse CDF of the normal truncated at +-3 sigma; scipy is
         # imported here, not at module level, so that importing gridtopo
         # loads numpy alone
         import scipy.special
         tail = scipy.special.ndtr(-3.0)
-        eps = (noise.bound / 3.0) * scipy.special.ndtri(rng.uniform(tail, 1.0 - tail, size=n))
+        eps = rng.uniform(tail, 1.0 - tail, size=out.values.shape)
+        scipy.special.ndtri(eps, out=eps)
+        eps *= noise.bound / 3.0
         np.clip(eps, -noise.bound, noise.bound, out=eps)
-    out.values = out.values * (1.0 + eps).reshape(out.values.shape)
+    eps += 1.0
+    out.values *= eps
     return out
 
 

@@ -24,7 +24,7 @@ import pytest
 
 from gridtopo.feeders import make_feeder, random_feeder
 from gridtopo.info_core import PanelStatistics
-from gridtopo.phase_id import _edge_correlation, _unit_series
+from gridtopo.phase_id import _unit_series
 from gridtopo.synth_lab import InjectionSpec, analytic_cov
 
 _CRITERIA = {}
@@ -190,7 +190,7 @@ def edge_correlation_margins(tree, panel, use_increments=True):
     for parent, child in tree.oriented():
         if parent == 0:
             continue
-        corr = _edge_correlation(z, panel, parent, child)
+        corr = z[panel.columns(parent)] @ z[panel.columns(child)].T
         p_phase = panel.true_phases(parent)
         c_phase = panel.true_phases(child)
         same = []

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import sys
 import threading
@@ -405,19 +406,18 @@ def test_concurrent_first_uses_build_one_gather_plan(bus8, bus8_spec):
 
 def test_batched_marginals_equal_the_per_bus_logdet_bit_for_bit(bus8, bus8_spec,
                                                                 small_random_feeders):
-    """mi_matrix's bus log-determinants, one batch per width, against one call per bus."""
-    makers = [lambda acov=acov: PanelStatistics.from_analytic(acov)
-              for _, _, acov in small_random_feeders]
+    """mi_matrix's bus log-determinants, one batch per width, against each bus's own
+    elimination (eliminated_logdet)."""
+    stats = [PanelStatistics.from_analytic(acov) for _, _, acov in small_random_feeders]
     for slack_sigma in (0.0, 0.01):
         panel = generate_increments(bus8, bus8_spec, T=400, seed=21, slack_sigma=slack_sigma)
-        makers += [lambda panel=panel, source=source: PanelStatistics(panel, source=source)
-                   for source in SOURCES]
-    for make in makers:
-        batched, single = make(), make()
-        batched.mi_matrix()
-        buses = [b for b in single.bus_ids if b != 0]
-        assert ([batched._blocks[(b,)].hex() for b in buses]
-                == [single._logdet([b]).hex() for b in buses])
+        stats += [PanelStatistics(panel, source=source) for source in SOURCES]
+    for st in stats:
+        st.mi_matrix()
+        buses = [b for b in st.bus_ids if b != 0]
+        assert ([st._blocks[(b,)].hex() for b in buses]
+                == [float(eliminated_logdet(st.cov[np.ix_(st.slices[b], st.slices[b])])).hex()
+                    for b in buses])
 
 
 def test_mi_matrix_names_every_singular_pair(bus8, bus8_spec):
@@ -429,6 +429,22 @@ def test_mi_matrix_names_every_singular_pair(bus8, bus8_spec):
     with pytest.raises(MIComputationError) as err:
         PanelStatistics(panel).mi_matrix()
     assert err.value.failures == [(2, 5), (3, 7)]
+
+
+def test_a_query_names_its_first_singular_block(bus8, bus8_spec):
+    panel = _inc(bus8, bus8_spec, 600, 16)
+    grid = padded(panel)
+    grid[:, 5, panel.slots(5)[0]] = grid[:, 2, panel.slots(2)[0]]
+    panel.values = unpadded(grid, panel.masks)
+    stats = PanelStatistics(panel)
+    for call, named in ((lambda: stats.pair_mi(2, 5), [2, 5]),
+                        (lambda: stats.group_mi([5], [2, 1]), [5, 2, 1]),
+                        (lambda: stats.group_mis([([1], [2]), ([2], [5])]), [2, 5])):
+        with pytest.raises(SingularCovarianceError) as err:
+            call()
+        assert str(err.value) == f"singular covariance for buses {named}"
+    # the good blocks of a failed batch are kept, and read as a cold query's
+    assert stats.pair_mi(1, 2) == PanelStatistics(panel).pair_mi(1, 2)
 
 
 # -- block log-determinant kernel ----------------------------------------
@@ -534,6 +550,23 @@ def test_substation_mi_takes_one_batch_per_joint_width(bus8, bus8_spec, monkeypa
     assert widths and len(widths) == len(set(widths))
     single = PanelStatistics(panel)
     assert got == {b: single.pair_mi(0, b) for b in range(1, 8)}
+
+
+def test_a_pair_query_takes_one_batch_per_joint_width(bus8, bus8_spec, monkeypatch):
+    """group_mi and pair_mi are one-query group_mis: a cold query takes its blocks
+    in one _logdets call per distinct width, and a second query none."""
+    panel = generate_increments(bus8, bus8_spec, T=600, seed=13)
+    queries = [([i], [k]) for i, k in itertools.combinations(range(1, 8), 2)]
+    queries += [([4], [2, 3]), ([5, 6], [7])]
+    for a, b in queries:
+        stats = PanelStatistics(panel)
+        widths = record_logdets(stats, monkeypatch)
+        da = sum(len(stats.slices[x]) for x in a)
+        db = sum(len(stats.slices[x]) for x in b)
+        value = stats.pair_mi(a[0], b[0]) if len(a + b) == 2 else stats.group_mi(a, b)
+        cold = list(widths)
+        assert sorted(cold) == sorted({da, db, da + db})
+        assert stats.group_mi(a, b) == value and widths == cold
 
 
 @pytest.mark.parametrize("T", [31, 241, 8760])

@@ -13,7 +13,7 @@ from gridtopo.phase_id import (
     assign_phases,
     assignment_accuracy,
     diagnose_labels,
-    _edge_correlation,
+    _scored_maps,
     _unit_series,
 )
 from gridtopo.synth_lab import (
@@ -65,7 +65,7 @@ def test_correlation_blocks_match_corrcoef(name):
     ref = _corrcoef_blocks(tree, volts)
     z = _unit_series(volts)
     for (parent, child), block in ref.items():
-        got = _edge_correlation(z, volts, parent, child)
+        got = z[volts.columns(parent)] @ z[volts.columns(child)].T
         # the constant substation gives NaN on both sides
         np.testing.assert_allclose(got, block, rtol=0, atol=1e-12, equal_nan=True)
         assert np.isnan(block).all() == (parent == 0)
@@ -263,6 +263,39 @@ def test_assign_phases_equals_the_per_edge_loop(small_random_feeders):
     assert statuses == {"assumed", "resolved", "unknown"}
 
 
+def _scored_maps_reference(z, panel, edges, floor):
+    """_scored_maps edge by edge: each edge's correlation block from its own
+    two row slices of z, every permutation scored in a Python loop."""
+    off = panel.offsets.tolist()
+    out = []
+    for parent, child in edges:
+        P, C = off[parent + 1] - off[parent], off[child + 1] - off[child]
+        corr = z[off[parent]:off[parent + 1]] @ z[off[child]:off[child + 1]].T
+        scored = []
+        for m in (itertools.permutations(range(P), C) if C <= P else ()):
+            used = [float(corr[p, ch]) for ch, p in enumerate(m) if abs(corr[p, ch]) >= floor]
+            if used:
+                scored.append((sum(used, 0.0), m))
+        out.append(scored)
+    return out
+
+
+@pytest.mark.parametrize("name", ["bus33", "bus123"])
+@pytest.mark.parametrize("use_increments", [True, False])
+def test_stacked_scoring_equals_the_per_edge_product_bit_for_bit(name, use_increments):
+    topo = make_feeder(name)
+    volts = corrupt_labels(_volts(topo, InjectionSpec.random(topo, seed=5), 2000, 4), 0.3,
+                           seed=6, protect=(min(topo.children_of(0)),))
+    z = _unit_series(volts, use_increments)
+    floor = 3.2905 / math.sqrt(z.shape[1])
+    edges = _true_tree(topo).oriented()
+    got = _scored_maps(z, volts, edges, floor)
+    want = _scored_maps_reference(z, volts, edges, floor)
+    assert [[(s.hex(), m) for s, m in e] for e in got] == [[(s.hex(), m) for s, m in e]
+                                                          for e in want]
+    assert sum(map(len, got)) > len(edges)
+
+
 # -- diagnostics ---------------------------------------------------------
 
 
@@ -271,6 +304,22 @@ def test_edge_margins_positive_on_clean_data(bus8, bus8_spec):
     margins = edge_correlation_margins(_true_tree(bus8), volts)
     assert set(margins) == {(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)}
     assert min(margins.values()) > 0.0
+
+
+@pytest.mark.parametrize("name", ["bus13", "bus33", "bus123"])
+def test_accuracy_equals_the_per_bus_loop_on_corrupted_labels(name):
+    topo = make_feeder(name)
+    volts = _volts(topo, InjectionSpec.random(topo, seed=1), 600, 8)
+    tree = _true_tree(topo)
+    for fraction, seed in ((0.0, 0), (0.2, 1), (0.6, 2)):
+        panel = corrupt_labels(volts, fraction, seed=seed, protect=(min(topo.children_of(0)),))
+        out = assign_phases(tree, panel)
+        # claimed labels and an emptied map count as misses where they differ
+        for assignment in (out, PhaseAssignment(channels={b: panel.slots(b) for b in out.channels}),
+                           PhaseAssignment(channels={0: out.channels[0]})):
+            want = sum(tuple(assignment.channels.get(b, ())) == panel.true_phases(b)
+                       for b in range(1, panel.n_buses)) / (panel.n_buses - 1)
+            assert assignment_accuracy(assignment, panel) == want
 
 
 def test_accuracy_counts_mismatches(bus8, bus8_spec):

@@ -818,6 +818,24 @@ def test_a_year_long_draw_holds_little_beyond_its_panel():
     assert peak < 1.25 * panel.values.nbytes
 
 
+def test_a_slack_draw_adds_its_term_block_by_block():
+    topo = make_feeder("bus123")
+    sampler = FeederSampler(topo, InjectionSpec.random(topo, seed=0))
+    panel, peak = _traced_peak(lambda: sampler.increments(8759, seed=1, slack_sigma=0.01))
+    assert peak < 1.25 * panel.values.nbytes
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+def test_noise_holds_its_copy_and_one_real_draw(distribution):
+    topo = make_feeder("bus123")
+    volts = integrate_voltages(generate_increments(topo, InjectionSpec.random(topo, seed=0),
+                                                   T=8759, seed=1))
+    noise = NoiseSpec(bound=0.01, distribution=distribution)
+    noisy, peak = _traced_peak(lambda: apply_noise(volts, noise, seed=3))
+    assert noisy.n_samples == 8760
+    assert peak < 2.0 * noisy.values.nbytes
+
+
 def test_to_magnitude_holds_one_panel():
     topo = make_feeder("bus123")
     volts = integrate_voltages(generate_increments(topo, InjectionSpec.random(topo, seed=0),
