@@ -423,7 +423,7 @@ def monte_carlo(config, replicates, base_seed=0, threads=1):
     wall_time_s, which is the wall time of the whole call. Calls on one
     feeder model share build_context's sampler. A recovery takes its MI
     queries as group_mis batches (a pair_mi or group_mi is a one-query
-    batch) and its phase correlations one product per width group.
+    batch) and its phase correlations from one channel correlation matrix.
     """
     t0 = time.perf_counter()
     return _evaluate([build_context(config)], replicates, base_seed, threads, None, [None], t0)[0]

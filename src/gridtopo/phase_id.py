@@ -5,8 +5,8 @@ voltage magnitudes at the two ends of a branch are more correlated than
 cross-phase pairs, so labels can be propagated from the trusted
 substation outward: each bus's channels are matched to its parent's
 already-resolved phases by the injective assignment with maximum total
-correlation. The correlations of all edges whose two buses have the
-same channel counts come from one stacked product, one per width pair.
+correlation. Every edge reads its correlations from one (D, D) channel
+correlation matrix, so an exact covariance scores through the same path.
 """
 
 from __future__ import annotations
@@ -62,47 +62,47 @@ class PhaseAssignment:
         write_csv(path, ["bus_id", "channel", "assigned_phase", "margin"], rows)
 
 
-def _unit_series(panel, use_increments=True):
-    """Channel-major block of centred magnitude series, each of unit norm.
+def _magnitude_correlation(panel, use_increments=True):
+    """(D, D) Pearson correlation matrix of the panel's magnitude series, and its sample count.
 
-    Row j is channel j of the panel (columns(b) names a bus's rows), so
-    the product of two buses' row blocks is their Pearson correlation
-    matrix. A zero-variance channel's row is NaN, and so is every
-    correlation it enters: the matcher treats those as uninformative
-    rather than as evidence.
+    Rows and columns are the panel's columns (columns(b) names a bus's),
+    so an edge's (P, C) block is a gather from this one matrix. A
+    zero-variance channel's row and column are NaN: the matcher treats
+    those as uninformative rather than as evidence.
     """
     if panel.kind == "increment":
         # already differenced upstream; magnitudes of increments are not
         # the same signal, so insist on a voltage panel unless told not to
         raise PhaseIdError("phase identification expects a voltage panel")
+    lag = 1 if use_increments else 0
+    if panel.n_samples - lag < MIN_SAMPLES:
+        raise PhaseIdError(f"need at least {MIN_SAMPLES + lag} snapshots, got {panel.n_samples}")
     mags = panel.values.real if panel.magnitude_only else np.abs(panel.values)
     if use_increments:
         mags = np.diff(mags, axis=0)
-    if mags.shape[0] < MIN_SAMPLES:
-        raise PhaseIdError(f"need at least {MIN_SAMPLES} samples, got {mags.shape[0]}")
-    z = np.subtract(mags.T, mags.mean(axis=0)[:, None], order="C")
+    elif panel.magnitude_only:
+        mags = mags.copy()  # values.real is the panel's own memory
+    mags -= mags.mean(axis=0)
+    cov = mags.T @ mags
+    d = np.sqrt(np.diagonal(cov))
     with np.errstate(invalid="ignore", divide="ignore"):
-        z /= np.sqrt(np.sum(z * z, axis=1))[:, None]
-    return z
+        return np.divide(cov, np.outer(d, d), out=cov), mags.shape[0]
 
 
-def _scored_maps(z, panel, edges, floor):
+def _scored_maps(corr, offsets, edges, floor):
     """Score every injective child-to-parent channel map of every edge.
 
-    Returns, per edge, the (score, map) pairs of the maps that pair at
-    least one significant correlation, map[j] being the parent channel
-    of child channel j and the maps listed in itertools.permutations
-    order; empty when the parent has no channels or fewer than the
-    child. A score sums the map's correlations of magnitude at least
-    floor, in child channel order; NaN ones do not count. Edges are
-    scored against one permutation table per (parent width, child
-    width), all edges of a width pair in one batch, whose (P, C)
-    Pearson correlation blocks come from one stacked product of the
-    parents' and the children's rows of z: per edge, the same product
-    as the edge's own two row blocks.
+    corr is a (D, D) correlation matrix, bus b owning rows and columns
+    offsets[b]:offsets[b + 1]. Returns, per edge, the (score, map) pairs
+    of the maps that pair at least one correlation of magnitude at least
+    floor (0 for an exact matrix), map[j] being the parent channel of
+    child channel j and the maps listed in itertools.permutations order;
+    empty when the parent has no channels or fewer than the child. A
+    score sums those correlations in child channel order; NaN ones do
+    not count. All edges of a (parent width, child width) pair share one
+    permutation table and one gather from corr.
     """
-    off = panel.offsets
-    width = np.diff(off).tolist()
+    width = np.diff(offsets).tolist()
     groups = {}
     for e, (parent, child) in enumerate(edges):
         if width[child] <= width[parent]:
@@ -111,12 +111,11 @@ def _scored_maps(z, panel, edges, floor):
     for (P, C), members in groups.items():
         maps = list(itertools.permutations(range(P), C))
         parents, children = np.array([edges[e] for e in members]).T
-        corr = np.matmul(z[off[parents, None] + np.arange(P)],
-                         z[off[children, None] + np.arange(C)].transpose(0, 2, 1))
+        # vals[e, k, ch]: child channel ch against its parent channel under map k
+        vals = corr[offsets[parents, None, None] + np.array(maps, dtype=np.intp),
+                    offsets[children, None, None] + np.arange(C)]
         with np.errstate(invalid="ignore"):
-            corr = np.where(np.abs(corr) >= floor, corr, np.nan)
-        vals = corr[:, np.array(maps, dtype=np.intp), np.arange(C)]
-        ok = np.isfinite(vals)
+            ok = np.abs(vals) >= floor
         # a running sum from 0.0 in child channel order, as a loop would add
         scores = np.zeros(vals.shape[:2])
         for ch in range(C):
@@ -149,11 +148,11 @@ def assign_phases(tree, panel, use_increments=True):
         where = "is not in the measurements" if bus in named else "is missing from the tree"
         raise PhaseIdError(f"topology does not match the measurements: bus {bus} {where}")
     out = PhaseAssignment()
-    z = _unit_series(panel, use_increments)
+    corr, n = _magnitude_correlation(panel, use_increments)
     # keep only statistically significant entries, in either direction;
     # meter noise on an otherwise constant series produces finite but
     # meaningless correlations
-    floor = _SIG_Z / math.sqrt(z.shape[1])
+    floor = _SIG_Z / math.sqrt(n)
 
     # substation: claimed labels trusted
     out.channels[0] = panel.slots(0)
@@ -164,7 +163,7 @@ def assign_phases(tree, panel, use_increments=True):
     # edge do not depend on the maps above it; only the ranking below,
     # whose ties break on the parent's phases, waits for the parent
     edges = tree.oriented()
-    for (parent, child), scored in zip(edges, _scored_maps(z, panel, edges, floor)):
+    for (parent, child), scored in zip(edges, _scored_maps(corr, panel.offsets, edges, floor)):
         parent_phases = out.channels[parent]
         candidates = [(score, tuple(parent_phases[p] for p in m)) for score, m in scored]
         if not candidates:
@@ -174,12 +173,12 @@ def assign_phases(tree, panel, use_increments=True):
                 # constant substation series: fall back to the trusted
                 # labels at the feeder head rather than guessing
                 out.statuses[child] = "assumed"
-            else:
-                out.statuses[child] = "unknown"
-                out.warnings.append(
-                    f"bus {child}: no informative correlation with parent {parent}; "
-                    "claimed labels kept"
-                )
+                continue
+            out.statuses[child] = "unknown"
+            C = len(out.channels[child])
+            why = (f"its {C} channels outnumber the {len(parent_phases)} of"
+                   if C > len(parent_phases) else "no informative correlation with")
+            out.warnings.append(f"bus {child}: {why} parent {parent}; claimed labels kept")
             continue
         candidates.sort(key=lambda sc: (-sc[0], sc[1]))
         best_score, best_map = candidates[0]

@@ -13,7 +13,9 @@ frame transform included, that the kernel's analytic statistics are
 checked against, and sequence_statistics is the kernel run on that
 transformed covariance.
 spanning_trees and edge_correlation_margins are brute-force and
-ground-truth oracles for the spanning-tree and phase checks.
+ground-truth oracles for the spanning-tree and phase checks, and
+exact_magnitude_correlation is the infinite-data input of the phase
+check.
 """
 
 import itertools
@@ -24,8 +26,8 @@ import pytest
 
 from gridtopo.feeders import make_feeder, random_feeder
 from gridtopo.info_core import PanelStatistics
-from gridtopo.phase_id import _unit_series
-from gridtopo.synth_lab import InjectionSpec, analytic_cov
+from gridtopo.phase_id import _magnitude_correlation
+from gridtopo.synth_lab import NOMINAL_ANGLES, InjectionSpec, analytic_cov
 
 _CRITERIA = {}
 
@@ -177,6 +179,26 @@ def spanning_trees(bus_ids):
             if is_spanning_tree(t, buses))
 
 
+def exact_magnitude_correlation(acov):
+    """(correlation matrix, offsets) of the linearised |V| increments, over a panel's columns.
+
+    At a channel of nominal angle theta, d|V| is cos(theta) dRe +
+    sin(theta) dIm to first order, so the covariance is M A M^T with A
+    = acov.real and M = [diag cos(theta), diag sin(theta)]. The
+    substation's columns, which carry no increment, are NaN; offsets[b]
+    is bus b's first column, as in VoltagePanel.
+    """
+    masks = acov.masks
+    theta = np.asarray(NOMINAL_ANGLES)[np.nonzero(masks[1:])[1]]
+    M = np.hstack([np.diag(np.cos(theta)), np.diag(np.sin(theta))])
+    C = M @ acov.real @ M.T
+    d = np.sqrt(np.diag(C))
+    n0 = int(masks[0].sum())
+    R = np.full((n0 + len(theta),) * 2, np.nan)
+    R[n0:, n0:] = C / np.outer(d, d)
+    return R, np.concatenate(([0], np.cumsum(masks.sum(axis=1))))
+
+
 def edge_correlation_margins(tree, panel, use_increments=True):
     """Per-edge gap between same-phase and best cross-phase correlation.
 
@@ -186,11 +208,11 @@ def edge_correlation_margins(tree, panel, use_increments=True):
     work; the minimum over edges is the robustness figure.
     """
     margins = {}
-    z = _unit_series(panel, use_increments)
+    R = _magnitude_correlation(panel, use_increments)[0]
     for parent, child in tree.oriented():
         if parent == 0:
             continue
-        corr = z[panel.columns(parent)] @ z[panel.columns(child)].T
+        corr = R[np.ix_(panel.columns(parent), panel.columns(child))]
         p_phase = panel.true_phases(parent)
         c_phase = panel.true_phases(child)
         same = []

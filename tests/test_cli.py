@@ -12,6 +12,7 @@ import gridtopo
 from gridtopo.cli import build_parser, main
 from gridtopo.eval_harness import ScenarioConfig, build_context, draw_panel
 from gridtopo.feeders import make_feeder
+from gridtopo.phase_id import MIN_SAMPLES
 from gridtopo.synth_lab import labels_to_csv, panel_to_csv
 from gridtopo.topo_est import estimate_from_csv
 
@@ -373,6 +374,16 @@ def test_identify_phases_reads_a_topology_file_with_a_padded_header(tmp_path, ca
     assert outs[0] == outs[1]
     assert main(["simulate", "--topology", str(padded), "--samples", "50",
                  "--out", str(tmp_path / "again")]) == 0
+
+
+def test_identify_phases_short_record_counts_snapshots(tmp_path, capsys):
+    prefix = _simulate(tmp_path, samples=MIN_SAMPLES)
+    capsys.readouterr()
+    rc = main(["identify-phases", "--measurements", prefix + ".measurements.csv",
+               "--topology", prefix + ".topology.csv", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert (f"need at least {MIN_SAMPLES + 1} snapshots, got {MIN_SAMPLES}"
+            in capsys.readouterr().err)
 
 
 def test_identify_phases_missing_topology_exits_two(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import edge_correlation_margins, padded
+from conftest import edge_correlation_margins, exact_magnitude_correlation, padded
 from gridtopo.feeders import FEEDER_NAMES, make_feeder
 from gridtopo.phase_id import (
     MIN_SAMPLES,
@@ -13,8 +13,8 @@ from gridtopo.phase_id import (
     assign_phases,
     assignment_accuracy,
     diagnose_labels,
+    _magnitude_correlation,
     _scored_maps,
-    _unit_series,
 )
 from gridtopo.synth_lab import (
     FeederSampler,
@@ -32,7 +32,7 @@ from gridtopo.topo_est import EdgeSetEstimate, attach_root
 def _true_tree(topo):
     return attach_root(
         EdgeSetEstimate(bus_ids=tuple(sorted(topo.non_slack_ids)),
-                        edges=tuple(topo.edge_set(include_root=False))),
+                        edges=tuple(topo.edge_set(include_root=False, include_chords=False))),
         declared_root=min(topo.children_of(0)),
     )
 
@@ -63,9 +63,11 @@ def test_correlation_blocks_match_corrcoef(name):
     volts = _volts(topo, InjectionSpec.random(topo, seed=5), 1500, 2)
     tree = _true_tree(topo)
     ref = _corrcoef_blocks(tree, volts)
-    z = _unit_series(volts)
+    R, n = _magnitude_correlation(volts)
+    assert n == volts.n_samples - 1
     for (parent, child), block in ref.items():
-        got = z[volts.columns(parent)] @ z[volts.columns(child)].T
+        got = R[volts.columns(parent).start:volts.columns(parent).stop,
+                volts.columns(child).start:volts.columns(child).stop]
         # the constant substation gives NaN on both sides
         np.testing.assert_allclose(got, block, rtol=0, atol=1e-12, equal_nan=True)
         assert np.isnan(block).all() == (parent == 0)
@@ -89,6 +91,33 @@ def test_too_few_samples_rejected(bus8, bus8_spec):
 
 
 # -- label propagation ---------------------------------------------------
+
+
+@pytest.mark.parametrize("use_increments", [True, False])
+@pytest.mark.parametrize("source", ["complex", "magnitude"])
+def test_assign_phases_leaves_the_panel_untouched(bus8, bus8_spec, source, use_increments):
+    volts = _volts(bus8, bus8_spec, 300, 0)
+    panel = to_magnitude(volts) if source == "magnitude" else volts
+    before = panel.values.tobytes()
+    assign_phases(_true_tree(bus8), panel, use_increments=use_increments)
+    assert panel.values.tobytes() == before
+
+
+def test_child_wider_than_its_parent_names_the_channel_counts(bus8, bus8_spec):
+    volts = _volts(bus8, bus8_spec, 600, 0)
+    # hang the 3-phase bus 6 under the 1-phase bus 4: no injective map exists
+    assert (len(volts.slots(6)), len(volts.slots(4))) == (3, 1)
+    edges = (set(bus8.edge_set(include_root=False)) - {(3, 6)}) | {(4, 6)}
+    tree = attach_root(EdgeSetEstimate(bus_ids=tuple(sorted(bus8.non_slack_ids)),
+                                       edges=tuple(sorted(edges))), declared_root=1)
+    out = assign_phases(tree, volts)
+    assert out.statuses[6] == "unknown"
+    assert out.channels[6] == volts.slots(6)
+    assert out.warnings == ["bus 6: its 3 channels outnumber the 1 of parent 4; "
+                            "claimed labels kept"]
+    want = _assign_phases_reference(tree, volts)
+    assert (out.channels, out.statuses, out.warnings) == (want.channels, want.statuses,
+                                                          want.warnings)
 
 
 def test_clean_panel_resolves_identity(bus8, bus8_spec):
@@ -171,15 +200,17 @@ def test_assignment_csv(tmp_path, bus8, bus8_spec):
 
 
 def _assign_phases_reference(tree, panel, use_increments=True):
-    """assign_phases as written edge by edge: its own unit series and
-    correlation copies, every permutation scored in a Python loop."""
+    """assign_phases as written edge by edge: its own correlation matrix,
+    the same arithmetic, every permutation scored in a Python loop."""
     mags = panel.values.real if panel.magnitude_only else np.abs(panel.values)
     if use_increments:
         mags = np.diff(mags, axis=0)
-    z = np.ascontiguousarray((mags - mags.mean(axis=0)).T)
+    z = mags - mags.mean(axis=0)
+    cov = z.T @ z
+    sd = np.sqrt(np.diag(cov))
     with np.errstate(invalid="ignore", divide="ignore"):
-        z /= np.sqrt(np.sum(z * z, axis=1))[:, None]
-    floor = 3.2905 / math.sqrt(z.shape[1])
+        R = cov / np.outer(sd, sd)
+    floor = 3.2905 / math.sqrt(z.shape[0])
     out = PhaseAssignment()
     out.channels[0] = tuple(panel.slots(0))
     out.margins[0] = math.inf
@@ -187,18 +218,14 @@ def _assign_phases_reference(tree, panel, use_increments=True):
     for parent, child in tree.oriented():
         claimed = tuple(panel.slots(child))
         parent_phases = out.channels[parent]
-        corr = None
-        if len(parent_phases) > 0:
-            corr = z[panel.columns(parent)] @ z[panel.columns(child)].T
-            with np.errstate(invalid="ignore"):
-                corr = np.where(np.abs(corr) >= floor, corr, np.nan)
+        corr = R[np.ix_(panel.columns(parent), panel.columns(child))]
         candidates = []
-        if corr is not None and len(parent_phases) >= len(claimed):
+        if 0 < len(parent_phases) >= len(claimed):
             for combo in itertools.permutations(range(len(parent_phases)), len(claimed)):
                 score, used = 0.0, 0
                 for ch, pch in enumerate(combo):
                     v = corr[pch, ch]
-                    if np.isfinite(v):
+                    if abs(v) >= floor:
                         score += float(v)
                         used += 1
                 if used > 0:
@@ -206,14 +233,14 @@ def _assign_phases_reference(tree, panel, use_increments=True):
         if not candidates:
             out.channels[child] = claimed
             out.margins[child] = math.inf
+            out.statuses[child] = "assumed" if parent == 0 else "unknown"
             if parent == 0:
-                out.statuses[child] = "assumed"
+                continue
+            if len(claimed) > len(parent_phases):
+                why = f"its {len(claimed)} channels outnumber the {len(parent_phases)} of"
             else:
-                out.statuses[child] = "unknown"
-                out.warnings.append(
-                    f"bus {child}: no informative correlation with parent {parent}; "
-                    "claimed labels kept"
-                )
+                why = "no informative correlation with"
+            out.warnings.append(f"bus {child}: {why} parent {parent}; claimed labels kept")
             continue
         candidates.sort(key=lambda sc: (-sc[0], sc[1]))
         out.channels[child] = candidates[0][1]
@@ -245,11 +272,7 @@ def test_assign_phases_equals_the_per_edge_loop(small_random_feeders):
     feeders = [make_feeder(name) for name in FEEDER_NAMES]
     statuses = set()
     for topo in feeders + [t for t, _, _ in small_random_feeders]:
-        tree = attach_root(
-            EdgeSetEstimate(bus_ids=tuple(sorted(topo.non_slack_ids)),
-                            edges=tuple(topo.edge_set(include_root=False,
-                                                      include_chords=False))),
-            declared_root=min(topo.children_of(0)))
+        tree = _true_tree(topo)
         for panel in _oracle_panels(topo):
             for use_increments in (True, False):
                 got = assign_phases(tree, panel, use_increments=use_increments)
@@ -263,17 +286,17 @@ def test_assign_phases_equals_the_per_edge_loop(small_random_feeders):
     assert statuses == {"assumed", "resolved", "unknown"}
 
 
-def _scored_maps_reference(z, panel, edges, floor):
-    """_scored_maps edge by edge: each edge's correlation block from its own
-    two row slices of z, every permutation scored in a Python loop."""
-    off = panel.offsets.tolist()
+def _scored_maps_reference(corr, offsets, edges, floor):
+    """_scored_maps edge by edge: each edge's correlation block sliced from
+    corr, every permutation scored in a Python loop."""
+    off = offsets.tolist()
     out = []
     for parent, child in edges:
         P, C = off[parent + 1] - off[parent], off[child + 1] - off[child]
-        corr = z[off[parent]:off[parent + 1]] @ z[off[child]:off[child + 1]].T
+        block = corr[off[parent]:off[parent + 1], off[child]:off[child + 1]]
         scored = []
         for m in (itertools.permutations(range(P), C) if C <= P else ()):
-            used = [float(corr[p, ch]) for ch, p in enumerate(m) if abs(corr[p, ch]) >= floor]
+            used = [float(block[p, ch]) for ch, p in enumerate(m) if abs(block[p, ch]) >= floor]
             if used:
                 scored.append((sum(used, 0.0), m))
         out.append(scored)
@@ -282,18 +305,41 @@ def _scored_maps_reference(z, panel, edges, floor):
 
 @pytest.mark.parametrize("name", ["bus33", "bus123"])
 @pytest.mark.parametrize("use_increments", [True, False])
-def test_stacked_scoring_equals_the_per_edge_product_bit_for_bit(name, use_increments):
+def test_scored_maps_equal_the_per_edge_loop_bit_for_bit(name, use_increments):
     topo = make_feeder(name)
     volts = corrupt_labels(_volts(topo, InjectionSpec.random(topo, seed=5), 2000, 4), 0.3,
                            seed=6, protect=(min(topo.children_of(0)),))
-    z = _unit_series(volts, use_increments)
-    floor = 3.2905 / math.sqrt(z.shape[1])
+    corr, n = _magnitude_correlation(volts, use_increments)
+    floor = 3.2905 / math.sqrt(n)
     edges = _true_tree(topo).oriented()
-    got = _scored_maps(z, volts, edges, floor)
-    want = _scored_maps_reference(z, volts, edges, floor)
+    got = _scored_maps(corr, volts.offsets, edges, floor)
+    want = _scored_maps_reference(corr, volts.offsets, edges, floor)
     assert [[(s.hex(), m) for s, m in e] for e in got] == [[(s.hex(), m) for s, m in e]
                                                           for e in want]
     assert sum(map(len, got)) > len(edges)
+
+
+@pytest.mark.parametrize("reactive_ratio", [None, 0.4], ids=["circular", "reactive"])
+def test_exact_correlation_ranks_the_true_map_first(reactive_ratio):
+    """The paper's phase claim at infinite data: on every tree edge below
+    the substation, the true channel map outscores every other map of the
+    linearised |V| correlation."""
+    wrong, n_edges = [], 0
+    for name in FEEDER_NAMES:
+        topo = make_feeder(name)
+        spec = InjectionSpec.random(topo, seed=0, reactive_ratio=reactive_ratio)
+        R, offsets = exact_magnitude_correlation(FeederSampler(topo, spec).analytic())
+        edges = [e for e in _true_tree(topo).oriented() if e[0] != 0]
+        for (parent, child), scored in zip(edges, _scored_maps(R, offsets, edges, 0.0)):
+            slots = topo.bus(parent).mask.indices
+            true = tuple(slots.index(s) for s in topo.bus(child).mask.indices)
+            ranked = sorted(scored, key=lambda sm: -sm[0])
+            margin = ranked[0][0] - ranked[1][0] if len(ranked) > 1 else math.inf
+            if ranked[0][1] != true or not margin > 0.0:
+                wrong.append((name, parent, child, margin))
+        n_edges += len(edges)
+    assert n_edges == 182
+    assert wrong == []
 
 
 # -- diagnostics ---------------------------------------------------------
